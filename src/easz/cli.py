@@ -26,16 +26,19 @@ from .pipeline import (STAGES, PipelineConfig, StageTimings, compress_bytes,
 log = logging.getLogger("easz")
 
 
+def _codec(args) -> ExternalCodec | None:
+    if args.codec != "external":
+        return None
+    if not args.codec_cmd or not args.codec_decode_cmd:
+        raise EaszError("--codec external needs --codec-cmd and --codec-decode-cmd")
+    return ExternalCodec(args.codec_cmd, args.codec_decode_cmd, args.quality)
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    codec = None
-    if args.codec == "external":
-        if not args.codec_cmd or not args.codec_decode_cmd:
-            raise EaszError("--codec external needs --codec-cmd and --codec-decode-cmd")
-        codec = ExternalCodec(args.codec_cmd, args.codec_decode_cmd, args.quality)
     return PipelineConfig(
         n=args.n, b=args.b, erased_per_row=args.T,
         intra_row_delta=args.delta, inter_row_delta=args.Delta,
-        seed=args.seed, codec=codec,
+        seed=args.seed, codec=_codec(args),
     )
 
 
@@ -76,10 +79,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    codec = None
-    if args.codec == "external":
-        codec = ExternalCodec(args.codec_cmd or "", args.codec_decode_cmd or "",
-                              args.quality)
+    codec = _codec(args)
     model = _load_model(args.checkpoint)
     raster = decompress_bytes(Path(args.container).read_bytes(), model, codec)
     Path(args.out).write_bytes(raster)
@@ -140,12 +140,8 @@ def cmd_eval(args) -> int:
 def cmd_serve(args) -> int:
     from .transport import ReconstructionServer
 
-    codec = None
-    if args.codec == "external":
-        codec = ExternalCodec(args.codec_cmd or "", args.codec_decode_cmd or "",
-                              args.quality)
     server = ReconstructionServer(args.port, args.checkpoint, args.out_dir,
-                                  host=args.host, codec=codec)
+                                  host=args.host, codec=_codec(args))
     print(f"serving on {args.host}:{server.port}, output dir {args.out_dir}")
     try:
         server.serve_forever()

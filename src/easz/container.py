@@ -52,6 +52,8 @@ class ExternalCodec:
 
     def _run(self, template: str, data: bytes) -> bytes:
         cmd = [part.format(quality=self.quality) for part in shlex.split(template)]
+        if not cmd:
+            raise ParameterError("external codec command template is empty")
         proc = subprocess.run(cmd, input=data, capture_output=True)
         if proc.returncode != 0:
             raise EaszError(
@@ -118,7 +120,9 @@ def decode_container(
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
-    if b == 0 or n % b != 0:
+    if orig_h == 0 or orig_w == 0 or channels not in (1, 3):
+        raise FormatError(f"bad image shape {orig_h}x{orig_w}x{channels}")
+    if n == 0 or b == 0 or n % b != 0:
         raise FormatError(f"inconsistent geometry n={n}, b={b}")
     gs = n // b
     off = _HEADER.size

@@ -24,10 +24,6 @@ class SamplerParams:
     intra_row_delta: int  # delta: min extra distance within a row
     inter_row_delta: int  # Delta: min extra distance to previous row's picks
     seed: int = 0
-    max_attempts: int = 1000
-    # True: distances enforced against the full set of prior picks (the
-    # stronger reading).  False: only against the single most recent pick.
-    set_constraints: bool = True
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,11 @@ def validate_params(p: SamplerParams) -> None:
         raise ParameterError(
             f"Delta={p.inter_row_delta} must be < cols={p.cols}"
         )
-    if p.max_attempts < 1:
-        raise ParameterError("max_attempts must be >= 1")
 
 
+# Seed-mode containers carry only (seed, T, delta, Delta), so both limits are
+# part of the mask format: changing either changes the regenerated masks.
+_MAX_ATTEMPTS = 1000
 _ROW_RESTARTS = 32
 
 
@@ -113,7 +110,7 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
     """Draw an erase mask from the row-based conditional sampler.
 
     Deterministic for a fixed seed.  Never fails once validate_params
-    passes: a per-sample rejection loop is capped at max_attempts, then the
+    passes: a per-sample rejection loop is capped at _MAX_ATTEMPTS, then the
     farthest-point fallback places the remaining samples of the row.
     """
     validate_params(p)
@@ -129,22 +126,20 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
             chosen: list[int] = []
             deadlocked = False
             for _t in range(p.samples_per_row):
-                intra_ref = chosen if p.set_constraints else chosen[-1:]
-                inter_ref = prev if p.set_constraints else prev[-1:]
                 col = -1
-                for _attempt in range(p.max_attempts):
+                for _attempt in range(_MAX_ATTEMPTS):
                     cand = rng.next_below(p.cols)
                     if cand in chosen:
                         continue
-                    if _min_dist(cand, intra_ref) <= p.intra_row_delta:
+                    if _min_dist(cand, chosen) <= p.intra_row_delta:
                         continue
-                    if _min_dist(cand, inter_ref) <= p.inter_row_delta:
+                    if _min_dist(cand, prev) <= p.inter_row_delta:
                         continue
                     col = cand
                     break
                 if col < 0:
                     deadlocked = True
-                    col = _pick_fallback(p.cols, chosen, inter_ref,
+                    col = _pick_fallback(p.cols, chosen, prev,
                                          p.intra_row_delta, p.inter_row_delta)
                 chosen.append(col)
             best = chosen

@@ -44,6 +44,8 @@ class ModelConfig:
     decoder_blocks: int = 2
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ParameterError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise ParameterError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
@@ -242,35 +244,28 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
     return decode(full, params, cfg)
 
 
+def _no_grad(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Views of params that record no autodiff graph, for inference."""
+    return {k: Tensor(v.data) for k, v in params.items()}
+
+
 def decode_and_reconstruct(patch: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
     """Reconstruct one uint8 patch: model predictions at erased positions,
-    original pixels everywhere the mask kept them."""
-    tokens = patch_to_tokens(patch, cfg.subpatch_b)
-    pred = forward_tokens(Tensor(tokens), mask, params, cfg).data
-    pred = np.clip(pred, 0.0, 1.0)
-    out_tokens = pred.copy()
-    kept_idx = np.flatnonzero(mask.bits.reshape(-1))
-    out_tokens[kept_idx] = tokens[kept_idx]
-    recon = tokens_to_patch(out_tokens, cfg.subpatch_b, cfg.channels)
-    # exact passthrough: re-copy kept pixels from the source patch
-    gs = cfg.grid_side
+    original pixels everywhere the mask kept them.  Records no graph."""
     b = cfg.subpatch_b
-    sub = recon.reshape(gs, b, gs, b, cfg.channels).transpose(0, 2, 1, 3, 4).copy()
-    src = patch.reshape(gs, b, gs, b, cfg.channels).transpose(0, 2, 1, 3, 4)
-    keep = mask.bits.astype(bool)
-    sub[keep] = src[keep]
-    return sub.transpose(0, 2, 1, 3, 4).reshape(patch.shape)
+    tokens = patch_to_tokens(patch, b)
+    pred = forward_tokens(Tensor(tokens), mask, _no_grad(params), cfg).data
+    recon = tokens_to_patch(pred, b, cfg.channels)
+    keep = np.kron(mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
+    recon[keep] = patch[keep]  # exact passthrough of kept pixels
+    return recon
 
 
-def reconstruct_grid(grid: PatchGrid, masks: EraseMask | list[EraseMask],
+def reconstruct_grid(grid: PatchGrid, mask: EraseMask,
                      params: dict[str, Tensor], cfg: ModelConfig) -> PatchGrid:
     """Apply decode_and_reconstruct to every patch of a grid."""
-    num = grid.patches.shape[0]
-    per_patch = [masks] * num if isinstance(masks, EraseMask) else list(masks)
-    out = np.empty_like(grid.patches)
-    for i in range(num):
-        out[i] = decode_and_reconstruct(grid.patches[i], per_patch[i], params, cfg)
+    out = np.stack([decode_and_reconstruct(p, mask, params, cfg) for p in grid.patches])
     return replace(grid, patches=out)
 
 
@@ -356,7 +351,7 @@ def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
               mask: EraseMask) -> float:
     """Mean L1 over a dataset under one fixed mask, no gradient."""
     tokens = np.stack([patch_to_tokens(p, cfg.subpatch_b) for p in dataset])
-    pred = forward_tokens(Tensor(tokens), mask, params, cfg)
+    pred = forward_tokens(Tensor(tokens), mask, _no_grad(params), cfg)
     return float(np.abs(pred.data - tokens).mean())
 
 

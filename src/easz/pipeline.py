@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .container import (MASK_EXPLICIT, ExternalCodec, decode_container,
                         encode_container)
-from .image import Image, load_raster, patchify, store_raster, unpatchify
+from .image import load_raster, patchify, store_raster, unpatchify
 from .mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
 from .squeeze import squeeze, unsqueeze_grid
 
@@ -56,7 +56,6 @@ class PipelineConfig:
     seed: int = 0
     mask_mode: int = MASK_EXPLICIT
     codec: ExternalCodec | None = None
-    fill: int = 0
 
     def make_mask(self) -> EraseMask:
         gs = self.n // self.b
@@ -86,18 +85,18 @@ def compress_bytes(raster: bytes, cfg: PipelineConfig,
 
 
 def decompress_bytes(frame: bytes, model=None,
-                     codec: ExternalCodec | None = None, fill: int = 0,
+                     codec: ExternalCodec | None = None,
                      timings: StageTimings | None = None) -> bytes:
     """Container bytes -> raster stream.
 
     model, when given, is a (params, config) pair from the checkpoint
-    module; without it erased regions keep the fill value.
+    module; without it erased regions stay 0.
     """
     timings = timings if timings is not None else StageTimings()
     clock = _Clock(timings)
     sq, mask, _codec_id = decode_container(frame, codec)
     clock.lap("codec_decode")
-    grid = unsqueeze_grid(sq, mask, fill)
+    grid = unsqueeze_grid(sq, mask)
     if model is not None and sq.erased_per_row > 0:
         from .model import reconstruct_grid
 
@@ -106,8 +105,3 @@ def decompress_bytes(frame: bytes, model=None,
     img = unpatchify(grid)
     clock.lap("reconstruct")
     return store_raster(img)
-
-
-def decompress_image(frame: bytes, model=None,
-                     codec: ExternalCodec | None = None, fill: int = 0) -> Image:
-    return load_raster(decompress_bytes(frame, model, codec, fill))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .image import Image, PatchGrid
+from .image import Image, PatchGrid, unpatchify
 from .mask import EraseMask, uniform_kept_count
 
 
@@ -42,113 +42,54 @@ class SqueezedImage:
         return self.pixels.shape[2]
 
 
-def _masks_for(grid: PatchGrid, masks: EraseMask | list[EraseMask]) -> list[EraseMask]:
-    num = grid.patches.shape[0]
-    if isinstance(masks, EraseMask):
-        per_patch = [masks] * num
-    else:
-        per_patch = list(masks)
-        if len(per_patch) != num:
-            raise GeometryError(f"{len(per_patch)} masks for {num} patches")
-    gs = grid.subgrid_side
-    for m in per_patch:
-        if (m.rows, m.cols) != (gs, gs):
-            raise GeometryError(
-                f"mask is {m.rows}x{m.cols}, sub-patch grid is {gs}x{gs}"
-            )
-    return per_patch
+def _kept_columns(mask: EraseMask, gs: int) -> np.ndarray:
+    """(rows, kept) column indices of each row's kept sub-patches, in order."""
+    if (mask.rows, mask.cols) != (gs, gs):
+        raise GeometryError(
+            f"mask is {mask.rows}x{mask.cols}, sub-patch grid is {gs}x{gs}"
+        )
+    kept = uniform_kept_count(mask)
+    return np.nonzero(mask.bits)[1].reshape(gs, kept)
 
 
-def _to_subpatches(patch: np.ndarray, b: int) -> np.ndarray:
-    """(h, w, C) -> (h/b, w/b, b, b, C); width may be the squeezed one."""
-    h, w, c = patch.shape
-    return patch.reshape(h // b, b, w // b, b, c).transpose(0, 2, 1, 3, 4)
-
-
-def _from_subpatches(sub: np.ndarray) -> np.ndarray:
-    gs, gw, b, _, c = sub.shape
-    return sub.transpose(0, 2, 1, 3, 4).reshape(gs * b, gw * b, c)
-
-
-def squeeze(grid: PatchGrid, masks: EraseMask | list[EraseMask]) -> SqueezedImage:
+def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
     """Drop erased sub-patches and compact each sub-patch row leftward."""
-    per_patch = _masks_for(grid, masks)
-    n, b = grid.patch_size_n, grid.subpatch_size_b
-    gs = grid.subgrid_side
-    kept = uniform_kept_count(per_patch[0])
-    for m in per_patch[1:]:
-        if uniform_kept_count(m) != kept:
-            raise GeometryError("masks disagree on kept-per-row count")
-    t = gs - kept
-    out_w = kept * b
-    c = grid.channels
-    squeezed_patches = np.empty((len(per_patch), n, out_w, c), dtype=np.uint8)
-    for i, (patch, m) in enumerate(zip(grid.patches, per_patch)):
-        sub = _to_subpatches(patch, b)
-        packed = np.empty((gs, kept, b, b, c), dtype=np.uint8)
-        for r in range(gs):
-            packed[r] = sub[r, np.flatnonzero(m.bits[r])]
-        squeezed_patches[i] = _from_subpatches(packed)
-    pixels = (
-        squeezed_patches.reshape(grid.patch_rows, grid.patch_cols, n, out_w, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(grid.patch_rows * n, grid.patch_cols * out_w, c)
-    )
+    n, b, c = grid.patch_size_n, grid.subpatch_size_b, grid.channels
+    gs, pr, pc = grid.subgrid_side, grid.patch_rows, grid.patch_cols
+    cols = _kept_columns(mask, gs)
+    kept = cols.shape[1]
+    # axes: patch row, patch col, sub-patch row, sub-patch col, pixel row,
+    # pixel col, channel
+    sub = grid.patches.reshape(pr, pc, gs, b, gs, b, c).transpose(0, 1, 2, 4, 3, 5, 6)
+    packed = sub[:, :, np.arange(gs)[:, None], cols]
+    pixels = packed.transpose(0, 2, 4, 1, 3, 5, 6).reshape(pr * n, pc * kept * b, c)
     return SqueezedImage(
-        pixels, n, b, t, grid.patch_rows, grid.patch_cols,
-        grid.orig_height, grid.orig_width,
+        pixels, n, b, gs - kept, pr, pc, grid.orig_height, grid.orig_width,
     )
 
 
-def unsqueeze_grid(
-    sq: SqueezedImage, masks: EraseMask | list[EraseMask], fill: int = 0
-) -> PatchGrid:
+def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask, fill: int = 0) -> PatchGrid:
     """Scatter kept sub-patches back to their positions, fill the rest.
 
     Returns the padded-size patch grid so reconstruction can run per patch;
     crop with image.unpatchify.
     """
-    n, b, gs = sq.patch_size_n, sq.subpatch_size_b, sq.patch_size_n // sq.subpatch_size_b
-    num = sq.patch_rows * sq.patch_cols
-    if isinstance(masks, EraseMask):
-        per_patch = [masks] * num
-    else:
-        per_patch = list(masks)
-        if len(per_patch) != num:
-            raise GeometryError(f"{len(per_patch)} masks for {num} patches")
-    kept = uniform_kept_count(per_patch[0])
-    expected_w = sq.patch_cols * kept * b
-    if sq.width != expected_w or sq.height != sq.patch_rows * n:
+    n, b, c = sq.patch_size_n, sq.subpatch_size_b, sq.channels
+    gs, pr, pc = n // b, sq.patch_rows, sq.patch_cols
+    cols = _kept_columns(mask, gs)
+    kept = cols.shape[1]
+    if (sq.height, sq.width) != (pr * n, pc * kept * b):
         raise GeometryError(
             f"squeezed raster {sq.height}x{sq.width} does not match geometry "
-            f"{sq.patch_rows * n}x{expected_w}"
+            f"{pr * n}x{pc * kept * b}"
         )
-    for m in per_patch:
-        if (m.rows, m.cols) != (gs, gs) or uniform_kept_count(m) != kept:
-            raise GeometryError("mask geometry differs from squeeze-time masks")
-    c = sq.channels
-    out_w = kept * b
-    sq_patches = (
-        sq.pixels.reshape(sq.patch_rows, n, sq.patch_cols, out_w, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(num, n, out_w, c)
-    )
-    patches = np.empty((num, n, n, c), dtype=np.uint8)
-    for i, m in enumerate(per_patch):
-        packed = _to_subpatches(sq_patches[i], b)
-        sub = np.full((gs, gs, b, b, c), fill, dtype=np.uint8)
-        for r in range(gs):
-            sub[r, np.flatnonzero(m.bits[r])] = packed[r]
-        patches[i] = _from_subpatches(sub)
-    return PatchGrid(
-        patches, n, b, sq.patch_rows, sq.patch_cols, sq.orig_height, sq.orig_width
-    )
+    packed = sq.pixels.reshape(pr, gs, b, pc, kept, b, c).transpose(0, 3, 1, 4, 2, 5, 6)
+    sub = np.full((pr, pc, gs, gs, b, b, c), fill, dtype=np.uint8)
+    sub[:, :, np.arange(gs)[:, None], cols] = packed
+    patches = sub.transpose(0, 1, 2, 4, 3, 5, 6).reshape(pr * pc, n, n, c)
+    return PatchGrid(patches, n, b, pr, pc, sq.orig_height, sq.orig_width)
 
 
-def unsqueeze(
-    sq: SqueezedImage, masks: EraseMask | list[EraseMask], fill: int = 0
-) -> Image:
+def unsqueeze(sq: SqueezedImage, mask: EraseMask, fill: int = 0) -> Image:
     """unsqueeze_grid followed by reassembly and cropping."""
-    from .image import unpatchify
-
-    return unpatchify(unsqueeze_grid(sq, masks, fill))
+    return unpatchify(unsqueeze_grid(sq, mask, fill))

@@ -79,11 +79,10 @@ class ReconstructionServer:
 
     def __init__(self, port: int, checkpoint: bytes | str | Path | None,
                  out_dir: str | Path, host: str = "127.0.0.1",
-                 codec: ExternalCodec | None = None, fill: int = 0):
+                 codec: ExternalCodec | None = None):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.codec = codec
-        self.fill = fill
         self.model = None
         if checkpoint is not None:
             from .model import load_checkpoint
@@ -114,8 +113,8 @@ class ReconstructionServer:
         t0 = time.perf_counter()
         try:
             frame = frame_read(sock)
-            raster = decompress_bytes(frame, self.model, self.codec, self.fill,
-                                      timings)
+            raster = decompress_bytes(frame, self.model, self.codec,
+                                      timings=timings)
             with self._lock:
                 self._counter += 1
                 out_path = self.out_dir / f"recv_{self._counter:05d}.raster"

@@ -112,6 +112,15 @@ def test_external_codec_flag_validation(raster64, tmp_path, capsys):
     assert "codec" in capsys.readouterr().err
 
 
+def test_external_decompress_needs_decode_cmd(raster64, tmp_path, capsys):
+    cont = tmp_path / "a.easz"
+    assert main(["compress", str(raster64), "--out", str(cont), "--codec",
+                 "external", "--codec-cmd", "cat", "--codec-decode-cmd", "cat"]) == 0
+    assert main(["decompress", str(cont), "--out", str(tmp_path / "b.ppm"),
+                 "--codec", "external"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_subcommands_exist():
     parser = build_parser()
     for cmd in ("compress", "decompress", "train", "eval", "serve",

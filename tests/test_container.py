@@ -87,6 +87,20 @@ def test_bad_version():
         decode_container(bytes(frame))
 
 
+def test_bad_image_geometry():
+    _, _, mask, sq = build()
+    frame = encode_container(sq, mask)
+    # n = 0 makes the sub-grid 0x0, so no mask bytes follow the header
+    header = frame[:14] + b"\x00\x00" + frame[16:32]
+    with pytest.raises(FormatError, match="geometry"):
+        decode_container(header + frame[32 + 8:])
+    no_rows = frame[:5] + bytes(4) + frame[9:]  # orig_height = 0
+    two_channels = frame[:13] + b"\x02" + frame[14:]
+    for bad in (no_rows, two_channels):
+        with pytest.raises(FormatError, match="image shape"):
+            decode_container(bad)
+
+
 def test_truncated_payload():
     _, _, mask, sq = build()
     frame = encode_container(sq, mask)
@@ -131,6 +145,8 @@ def test_external_codec_missing_on_decode():
     frame = encode_container(sq, mask, codec=codec)
     with pytest.raises(ParameterError, match="external codec"):
         decode_container(frame)
+    with pytest.raises(ParameterError, match="external codec"):
+        decode_container(frame, ExternalCodec(encode_cmd="cat", decode_cmd=""))
 
 
 def test_external_codec_failure_surfaces_stderr():

@@ -3,7 +3,7 @@ import pytest
 
 from easz import autodiff as ad
 from easz.autodiff import Tensor
-from easz.errors import DimensionError, FormatError, ParameterError
+from easz.errors import DimensionError, EaszError, FormatError, ParameterError
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask)
 from easz.model import (ModelConfig, TrainSettings, assemble,
@@ -211,6 +211,13 @@ def test_checkpoint_bad_magic():
     blob = save_checkpoint(init_params(TINY, seed=0), TINY)
     with pytest.raises(FormatError):
         load_checkpoint(b"XXXXXXXX" + blob[8:])
+
+
+def test_checkpoint_zero_heads():
+    blob = bytearray(save_checkpoint(init_params(TINY, seed=0), TINY))
+    blob[13] = 0  # heads
+    with pytest.raises(EaszError, match="heads"):
+        load_checkpoint(bytes(blob))
 
 
 def test_checkpoint_corrupt_payload():

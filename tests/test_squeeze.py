@@ -87,25 +87,3 @@ def test_size_accounting_exact():
         sq = squeeze(grid, mask)
         padded = grid.padded_height * grid.padded_width
         assert sq.pixels[:, :, 0].size == round((1 - t * b / n) * padded)
-
-
-def test_per_patch_mask_mode():
-    rng = np.random.default_rng(7)
-    img = rand_img(rng, 64, 64, 1)
-    grid = patchify(img, 32, 4)
-    masks = [row_mask(8, 2, seed=i) for i in range(4)]
-    sq = squeeze(grid, masks)
-    out = unsqueeze(sq, masks, fill=0)
-    for i, m in enumerate(masks):
-        kept = np.kron(m.bits, np.ones((4, 4), dtype=np.uint8)).astype(bool)
-        r, c = divmod(i, 2)
-        patch_out = out.pixels[r * 32:(r + 1) * 32, c * 32:(c + 1) * 32, 0]
-        patch_in = img.pixels[r * 32:(r + 1) * 32, c * 32:(c + 1) * 32, 0]
-        assert (patch_out[kept] == patch_in[kept]).all()
-
-
-def test_per_patch_masks_disagreeing_kept_count():
-    rng = np.random.default_rng(8)
-    grid = patchify(rand_img(rng, 64, 32, 1), 32, 4)
-    with pytest.raises(GeometryError):
-        squeeze(grid, [row_mask(8, 1), row_mask(8, 2)])
