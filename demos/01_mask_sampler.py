@@ -4,9 +4,11 @@ Row-based erase mask sampling
 
 Walk through the constrained sampler that decides which sub-patches of a
 patch get erased.  Every row of the sub-patch grid loses exactly T cells,
-picks in the same row stay more than delta columns apart, and picks in
-consecutive rows stay more than Delta columns apart -- so the erased
-region never clumps and always leaves local context for reconstruction.
+and the sampler keeps picks in the same row more than delta columns apart
+and picks in consecutive rows more than Delta columns apart, so the erased
+region rarely clumps and leaves local context for reconstruction.  A row
+where rejection sampling deadlocks is completed by a farthest-point
+fallback, which may break Delta (and, in tight settings, delta).
 """
 
 import numpy as np

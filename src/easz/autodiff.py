@@ -36,8 +36,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -325,13 +326,11 @@ def grad_check(f, x: Tensor, eps: float = 1e-6, order: int = 2) -> float:
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer."""
 
-    def __init__(self, lr: float = 2.8e-4, weight_decay: float = 0.05,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 2.8e-4, weight_decay: float = 0.05):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}

@@ -42,24 +42,6 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=32, help="patch size in pixels")
-    p.add_argument("--b", type=int, default=4, help="sub-patch size in pixels")
-    p.add_argument("--T", type=int, default=2,
-                   help="erased sub-patches per grid row (0 = keep everything)")
-    p.add_argument("--delta", type=int, default=1,
-                   help="min extra intra-row distance between erased columns")
-    p.add_argument("--Delta", type=int, default=1,
-                   help="min extra distance to the previous row's erased columns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codec", choices=["store", "external"], default="store")
-    p.add_argument("--codec-cmd", default=None,
-                   help="encode command template, e.g. 'cjpeg -quality {quality}'")
-    p.add_argument("--codec-decode-cmd", default=None, help="decode command template")
-    p.add_argument("--quality", type=int, default=85,
-                   help="substituted for {quality} in codec templates")
-
-
 def _load_model(path: str | None):
     if path is None:
         return None
@@ -211,15 +193,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "reconstruction on the receiver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Containers describe their own geometry and mask, so the mask flags go
+    # only to subcommands that compress.
+    mask = argparse.ArgumentParser(add_help=False)
+    mask.add_argument("--n", type=int, default=32, help="patch size in pixels")
+    mask.add_argument("--b", type=int, default=4, help="sub-patch size in pixels")
+    mask.add_argument("--T", type=int, default=2,
+                      help="erased sub-patches per grid row (0 = keep everything)")
+    mask.add_argument("--delta", type=int, default=1,
+                      help="min extra intra-row distance between erased columns")
+    mask.add_argument("--Delta", type=int, default=1,
+                      help="min extra distance to the previous row's erased columns")
+    mask.add_argument("--seed", type=int, default=0)
+    codec = argparse.ArgumentParser(add_help=False)
+    codec.add_argument("--codec", choices=["store", "external"], default="store")
+    codec.add_argument("--codec-cmd", default=None,
+                       help="encode command template, e.g. 'cjpeg -quality {quality}'")
+    codec.add_argument("--codec-decode-cmd", default=None, help="decode command template")
+    codec.add_argument("--quality", type=int, default=85,
+                       help="substituted for {quality} in codec templates")
 
-    p = sub.add_parser("compress", help="raster -> .easz container")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("compress", help="raster -> .easz container", parents=[mask, codec])
     p.add_argument("image")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="container (+ checkpoint) -> raster")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("decompress", help="container (+ checkpoint) -> raster",
+                       parents=[codec])
     p.add_argument("container")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", required=True)
@@ -247,16 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="container file for bpp/saving_ratio columns")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("serve", help="run the reconstruction server")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("serve", help="run the reconstruction server", parents=[codec])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=9464)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("send", help="compress a raster and ship it to a server")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("send", help="compress a raster and ship it to a server",
+                       parents=[mask, codec])
     p.add_argument("image")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=9464)
@@ -266,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="sweep T and emit a CSV of rate/quality/stage timings",
         epilog=ATTN_COST_NOTE,
+        parents=[mask, codec],
     )
-    _add_pipeline_flags(p)
     p.add_argument("image")
     p.add_argument("--T-list", default="0,1,2,4")
     p.add_argument("--checkpoint", default=None)

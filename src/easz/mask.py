@@ -2,7 +2,8 @@
 
 The row-based conditional sampler erases exactly T cells per sub-patch-grid
 row, keeping every new erased column farther than delta from the row's
-previous picks and farther than Delta from the previous row's picks.  Bit
+previous picks and farther than Delta from the previous row's picks, except
+in rows where rejection sampling gives up (see generate_row_mask).  Bit
 polarity: 1 = kept, 0 = erased.
 """
 
@@ -55,15 +56,12 @@ class EraseMask:
 
 
 def validate_params(p: SamplerParams) -> None:
-    """Raise ParameterError unless the constraints are jointly satisfiable."""
+    """Raise ParameterError unless one row fits T picks more than delta apart
+    and Delta < cols.  This does not keep generate_row_mask from falling back."""
     if p.rows < 1 or p.cols < 1:
         raise ParameterError(f"grid must be at least 1x1, got {p.rows}x{p.cols}")
     if p.samples_per_row < 1:
         raise ParameterError(f"T must be >= 1, got {p.samples_per_row}")
-    if p.samples_per_row > p.cols:
-        raise ParameterError(
-            f"T={p.samples_per_row} exceeds cols={p.cols}"
-        )
     if p.intra_row_delta < 0 or p.inter_row_delta < 0:
         raise ParameterError("distance thresholds must be >= 0")
     if p.samples_per_row * (p.intra_row_delta + 1) > p.cols:
@@ -83,70 +81,63 @@ _MAX_ATTEMPTS = 1000
 _ROW_RESTARTS = 32
 
 
-def _min_dist(col: int, others: list[int]) -> int:
-    return min(abs(col - o) for o in others) if others else 1 << 30
-
-
-def _pick_fallback(cols: int, chosen: list[int], prev: list[int],
-                   delta: int, big_delta: int) -> int:
+def _pick_fallback(allowed: list[bool], intra: list[bool],
+                   chosen: list[int], prev: list[int]) -> int:
     """Deterministic farthest-point placement once rejection gives up.
 
-    Prefers columns satisfying both constraints; failing that, satisfies the
-    intra-row constraint (hard, guaranteed feasible by validate_params) and
-    maximizes distance to the previous row's picks.
+    Picks from the columns allowed by both constraints; failing that, from
+    those satisfying delta alone (breaking Delta); failing that, from any
+    column not yet chosen (breaking delta too, which validate_params does
+    not rule out).  Within the pool it maximizes the distance to this row's
+    and the previous row's picks, lowest column on ties.
     """
-    free = [c for c in range(cols) if c not in chosen]
-    both = [c for c in free
-            if _min_dist(c, chosen) > delta and _min_dist(c, prev) > big_delta]
-    pool = both
-    if not pool:
-        pool = [c for c in free if _min_dist(c, chosen) > delta]
-    if not pool:  # unreachable after validate_params, kept as a guard
-        pool = free
-    return max(pool, key=lambda c: (min(_min_dist(c, chosen), _min_dist(c, prev)), -c))
+    pool = ([c for c, ok in enumerate(allowed) if ok]
+            or [c for c, ok in enumerate(intra) if ok]
+            or [c for c in range(len(intra)) if c not in chosen])
+    others = chosen + prev
+    return max(pool, key=lambda c: (min((abs(c - o) for o in others), default=1 << 30), -c))
 
 
 def generate_row_mask(p: SamplerParams) -> EraseMask:
     """Draw an erase mask from the row-based conditional sampler.
 
-    Deterministic for a fixed seed.  Never fails once validate_params
-    passes: a per-sample rejection loop is capped at _MAX_ATTEMPTS, then the
-    farthest-point fallback places the remaining samples of the row.
+    Deterministic for a fixed seed.  Each pick draws columns until one is
+    farther than delta from this row's picks and than Delta from the previous
+    row's.  Greedy picks can corner themselves: a pick with no hit in
+    _MAX_ATTEMPTS draws (skipped at once if no column qualifies) is placed by
+    _pick_fallback and the row redrawn, up to _ROW_RESTARTS times; the last
+    attempt stands, so it may break Delta and, in tight cases, delta.
     """
     validate_params(p)
     rng = SplitMix64(p.seed)
     bits = np.ones((p.rows, p.cols), dtype=np.uint8)
     prev: list[int] = []
     for row in range(p.rows):
-        # Greedy per-sample rejection can corner itself even when a joint
-        # placement exists, so a deadlocked row is restarted with fresh
-        # draws a few times before the deterministic fallback kicks in.
-        best: list[int] = []
-        for restart in range(_ROW_RESTARTS):
+        far_prev = [all(abs(c - o) > p.inter_row_delta for o in prev) for c in range(p.cols)]
+        for _restart in range(_ROW_RESTARTS):
             chosen: list[int] = []
+            intra = [True] * p.cols
             deadlocked = False
             for _t in range(p.samples_per_row):
+                allowed = [f and i for f, i in zip(far_prev, intra)]
                 col = -1
-                for _attempt in range(_MAX_ATTEMPTS):
-                    cand = rng.next_below(p.cols)
-                    if cand in chosen:
-                        continue
-                    if _min_dist(cand, chosen) <= p.intra_row_delta:
-                        continue
-                    if _min_dist(cand, prev) <= p.inter_row_delta:
-                        continue
-                    col = cand
-                    break
+                if any(allowed):
+                    for _attempt in range(_MAX_ATTEMPTS):
+                        cand = rng.next_below(p.cols)
+                        if allowed[cand]:
+                            col = cand
+                            break
+                else:  # every draw would be rejected
+                    rng.skip(_MAX_ATTEMPTS)
                 if col < 0:
                     deadlocked = True
-                    col = _pick_fallback(p.cols, chosen, prev,
-                                         p.intra_row_delta, p.inter_row_delta)
+                    col = _pick_fallback(allowed, intra, chosen, prev)
                 chosen.append(col)
-            best = chosen
+                intra = [i and abs(c - col) > p.intra_row_delta for c, i in enumerate(intra)]
             if not deadlocked:
                 break
-        bits[row, best] = 0
-        prev = best
+        bits[row, chosen] = 0
+        prev = chosen
     return EraseMask(bits, p)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .prng import digest64
 
 CHECKPOINT_MAGIC = b"EASZCKPT"
 CHECKPOINT_VERSION = 1
+_BLOCKS = 2  # transformer blocks in each of encoder and decoder; fixes checkpoint layout
 
 _POS_MODES = ("multiplicative", "additive")
 
@@ -40,8 +41,6 @@ class ModelConfig:
     heads: int = 4
     ffn_multiplier: int = 4
     pos_embed_mode: str = "multiplicative"
-    encoder_blocks: int = 2
-    decoder_blocks: int = 2
 
     def __post_init__(self):
         if self.heads < 1:
@@ -95,10 +94,9 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
         ("pos_enc", (cfg.num_positions, cfg.d_model)),
         ("pos_dec", (cfg.num_positions, cfg.d_model)),
     ]
-    for i in range(cfg.encoder_blocks):
-        shapes += _block_param_shapes(cfg, f"enc{i}")
-    for i in range(cfg.decoder_blocks):
-        shapes += _block_param_shapes(cfg, f"dec{i}")
+    for part in ("enc", "dec"):
+        for i in range(_BLOCKS):
+            shapes += _block_param_shapes(cfg, f"{part}{i}")
     shapes += [
         ("proj_out.w", (cfg.d_model, cfg.token_dim)),
         ("proj_out.b", (cfg.token_dim,)),
@@ -205,7 +203,7 @@ def embed(tokens: Tensor, positions: np.ndarray, params: dict[str, Tensor],
 
 def encode(embeddings: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     x = embeddings
-    for i in range(cfg.encoder_blocks):
+    for i in range(_BLOCKS):
         x = _block(x, params, f"enc{i}", cfg)
     return x
 
@@ -228,7 +226,7 @@ def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tenso
     """
     all_pos = np.arange(cfg.num_positions)
     x = ad.add(tokens, ad.gather_rows(params["pos_dec"], all_pos))
-    for i in range(cfg.decoder_blocks):
+    for i in range(_BLOCKS):
         x = _block(x, params, f"dec{i}", cfg)
     return ad.linear(x, params["proj_out.w"], params["proj_out.b"])
 
@@ -265,6 +263,10 @@ def decode_and_reconstruct(patch: np.ndarray, mask: EraseMask,
 def reconstruct_grid(grid: PatchGrid, mask: EraseMask,
                      params: dict[str, Tensor], cfg: ModelConfig) -> PatchGrid:
     """Apply decode_and_reconstruct to every patch of a grid."""
+    want = (cfg.subpatch_b, cfg.grid_side, cfg.channels)
+    got = (grid.subpatch_size_b, grid.subgrid_side, grid.channels)
+    if got != want:
+        raise ParameterError(f"model wants (b, grid side, channels) = {want}, image has {got}")
     out = np.stack([decode_and_reconstruct(p, mask, params, cfg) for p in grid.patches])
     return replace(grid, patches=out)
 
@@ -288,7 +290,6 @@ class TrainSettings:
     lam: float = 0.3
     perceptual: object = None
     mask_style: str = "row"  # "row" (sampler masks) or "random"
-    log: list = field(default_factory=list)
 
 
 def sample_training_mask(cfg: ModelConfig, erase_ratio: float, seed: int,
@@ -297,7 +298,7 @@ def sample_training_mask(cfg: ModelConfig, erase_ratio: float, seed: int,
     t = max(1, int(round(erase_ratio * gs)))
     if style == "random":
         return generate_random_mask(gs, gs, t * gs, seed)
-    delta = max(0, gs // t - 1 - 1)  # leave slack so rejection rarely stalls
+    delta = max(0, gs // t - 1 - 1)  # one below the tightest delta; rows still fall back
     return generate_row_mask(SamplerParams(
         rows=gs, cols=gs, samples_per_row=t,
         intra_row_delta=delta, inter_row_delta=min(1, gs - 1), seed=seed,

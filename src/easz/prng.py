@@ -35,6 +35,10 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def skip(self, k: int) -> None:
+        """Advance past k draws in O(1): the state is a counter in steps of gamma."""
+        self._state = (self._state + k * _GAMMA) & _MASK64
+
     def next_below(self, n: int) -> int:
         """Uniform-ish draw in [0, n)."""
         if n <= 0:

@@ -58,14 +58,19 @@ def _pack_status(code: int, message: str, timings: StageTimings) -> bytes:
 
 
 def _unpack_status(body: bytes) -> tuple[int, str, StageTimings]:
-    code, msg_len = struct.unpack_from(">BI", body, 0)
-    msg = body[5 : 5 + msg_len].decode(errors="replace")
-    timings = StageTimings()
-    rest = body[5 + msg_len :]
-    if rest:
-        parsed = json.loads(rest)
-        timings.stages = dict(parsed.get("stages", {}))
-        timings.end_to_end = float(parsed.get("end_to_end", 0.0))
+    try:
+        code, msg_len = struct.unpack_from(">BI", body, 0)
+        if 5 + msg_len > len(body):
+            raise TransportError(f"status message length {msg_len} overruns the body")
+        msg = body[5 : 5 + msg_len].decode(errors="replace")
+        timings = StageTimings()
+        rest = body[5 + msg_len :]
+        if rest:
+            parsed = json.loads(rest)
+            timings.stages = {k: float(v) for k, v in parsed.get("stages", {}).items()}
+            timings.end_to_end = float(parsed.get("end_to_end", 0.0))
+    except (struct.error, ValueError, TypeError, AttributeError) as exc:
+        raise TransportError(f"malformed status body of {len(body)} bytes: {exc}") from None
     return code, msg, timings
 
 

@@ -121,6 +121,16 @@ def test_external_decompress_needs_decode_cmd(raster64, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["decompress", "c.easz", "--out", "o.ppm"],
+                                  ["serve", "--out-dir", "d", "--codec", "store"]])
+def test_container_commands_take_no_mask_flags(argv):
+    # The container carries its geometry and mask; only codec flags apply.
+    parser = build_parser()
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["--T", "2"])
+
+
 def test_subcommands_exist():
     parser = build_parser()
     for cmd in ("compress", "decompress", "train", "eval", "serve",

@@ -4,6 +4,7 @@ import pytest
 from easz import autodiff as ad
 from easz.autodiff import Tensor
 from easz.errors import DimensionError, EaszError, FormatError, ParameterError
+from easz.image import make_image, store_raster
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask)
 from easz.model import (ModelConfig, TrainSettings, assemble,
@@ -11,6 +12,7 @@ from easz.model import (ModelConfig, TrainSettings, assemble,
                         forward_tokens, init_params, load_checkpoint, loss,
                         param_count, patch_to_tokens, save_checkpoint,
                         tokens_to_patch, train)
+from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
 
 TINY = ModelConfig(subpatch_b=2, channels=1, d_model=16, grid_side=4, heads=2,
                    ffn_multiplier=2)
@@ -236,3 +238,15 @@ def test_eval_loss_finite(tiny_params):
     data = rng.integers(0, 256, (4, 8, 8, 1), dtype=np.uint8)
     val = eval_loss(data, TINY, tiny_params, tiny_mask())
     assert np.isfinite(val) and val >= 0
+
+
+@pytest.mark.parametrize("b,grid_side,channels", [(4, 4, 3), (2, 8, 3), (4, 8, 1)])
+def test_model_container_mismatch(b, grid_side, channels):
+    # A default container is n=32, b=4 (grid 8), RGB.
+    rng = np.random.default_rng(0)
+    raster = store_raster(make_image(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)))
+    frame = compress_bytes(raster, PipelineConfig())
+    cfg = ModelConfig(subpatch_b=b, channels=channels, d_model=16,
+                      grid_side=grid_side, heads=2, ffn_multiplier=2)
+    with pytest.raises(ParameterError, match="model wants"):
+        decompress_bytes(frame, (init_params(cfg, seed=0), cfg))

@@ -10,8 +10,8 @@ from easz.image import make_image, store_raster
 from easz.model import ModelConfig, init_params, save_checkpoint
 from easz.pipeline import (STAGES, PipelineConfig, StageTimings,
                            compress_bytes, decompress_bytes)
-from easz.transport import (FRAME_CAP, ReconstructionServer, edge_send,
-                            frame_read, frame_write)
+from easz.transport import (FRAME_CAP, ReconstructionServer, _unpack_status,
+                            edge_send, frame_read, frame_write)
 
 
 class _Pipe:
@@ -147,3 +147,15 @@ def test_stage_timings_merge():
     b = StageTimings({"load": 2.0, "transmit": 3.0}, 4.0)
     a.merge(b)
     assert a.stages == {"load": 3.0, "transmit": 3.0}
+
+
+@pytest.mark.parametrize("body", [
+    b"",  # no header
+    b"\0\0\0\0\0{",  # truncated JSON
+    b"\0\0\0\0\0[]",  # JSON list, not an object
+    b"\0\0\0\0\x05ab",  # message length beyond the body
+    b'\0\0\0\0\0{"stages": {"load": "x"}}',  # non-numeric stage time
+])
+def test_malformed_status_body(body):
+    with pytest.raises(TransportError):
+        _unpack_status(body)
