@@ -2,8 +2,9 @@
 
 Just the primitives the reconstruction transformer needs, built on numpy
 arrays.  Gradients accumulate additively into Tensor.grad; call backward()
-on a scalar.  Double precision by default so finite-difference checks are
-meaningful; float32 works for inference.
+on a scalar.  Every Tensor holds float64, for training and inference alike,
+so finite-difference checks are meaningful; float32 appears only in the
+checkpoint file.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        self.data = arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -36,7 +36,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.array(g)
         else:
             self.grad += g
 

@@ -56,7 +56,7 @@ def cmd_compress(args) -> int:
     Path(args.out).write_bytes(frame)
     img = load_raster(Path(args.image).read_bytes())
     print(f"wrote {args.out}: {len(frame)} bytes, "
-          f"bpp={bpp(len(frame), img.orig_height, img.orig_width):.4f}")
+          f"bpp={bpp(len(frame), img.height, img.width):.4f}")
     return 0
 
 
@@ -95,9 +95,9 @@ def _load_patch_dir(root: Path, n: int) -> np.ndarray:
         if path.suffix.lower() not in (".pgm", ".ppm"):
             continue
         img = load_raster(path.read_bytes())
-        if (img.orig_height, img.orig_width) != (n, n):
+        if (img.height, img.width) != (n, n):
             raise EaszError(f"{path.name}: patch must be {n}x{n}, "
-                            f"got {img.orig_height}x{img.orig_width}")
+                            f"got {img.height}x{img.width}")
         patches.append(img.pixels)
     if not patches:
         raise EaszError(f"no .pgm/.ppm patches under {root}")
@@ -111,7 +111,7 @@ def cmd_eval(args) -> int:
     save = 0.0
     if args.container:
         size = Path(args.container).stat().st_size
-        rate = bpp(size, a.orig_height, a.orig_width)
+        rate = bpp(size, a.height, a.width)
         baseline = len(store_raster(a))
         save = saving_ratio(baseline, size)
     report = QualityReport(mse(a, b), psnr(a, b), ssim(a, b), rate, save)
@@ -168,15 +168,15 @@ def cmd_bench(args) -> int:
         out_img = load_raster(recon)
         row = [
             t, len(frame),
-            f"{bpp(len(frame), img.orig_height, img.orig_width):.6f}",
+            f"{bpp(len(frame), img.height, img.width):.6f}",
             "infinite" if mse(img, out_img) == 0 else f"{psnr(img, out_img):.4f}",
             f"{ssim(img, out_img):.6f}",
             f"{saving_ratio(baseline, len(frame)):.6f}",
         ] + [f"{timings.stages.get(s, 0.0):.3f}" for s in STAGES]
         writer.writerow(row)
     if args.attn_cost:
-        h = (img.orig_height + args.n - 1) // args.n * args.n
-        w = (img.orig_width + args.n - 1) // args.n * args.n
+        h = (img.height + args.n - 1) // args.n * args.n
+        w = (img.width + args.n - 1) // args.n * args.n
         pixel, two_stage, factor = attn_cost(h, w, args.n, args.b)
         out.write(f"# attn_cost pixel_token={pixel} two_stage={two_stage} "
                   f"reduction={factor:.1f}\n")

@@ -20,6 +20,8 @@ import struct
 import subprocess
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EaszError, FormatError, ParameterError
 from .image import Image, load_raster, store_raster
 from .mask import (EraseMask, SamplerParams, generate_row_mask, pack_mask,
@@ -69,10 +71,6 @@ class ExternalCodec:
         return self._run(self.decode_cmd, payload)
 
 
-def _squeezed_raster(sq: SqueezedImage) -> Image:
-    return Image(sq.pixels, sq.height, sq.width)
-
-
 def encode_container(
     sq: SqueezedImage,
     mask: EraseMask,
@@ -98,7 +96,7 @@ def encode_container(
         payload = sq.pixels.tobytes()
         codec_id = CODEC_STORE
     else:
-        payload = codec.encode(store_raster(_squeezed_raster(sq)))
+        payload = codec.encode(store_raster(Image(sq.pixels)))
         codec_id = CODEC_EXTERNAL
     header = _HEADER.pack(
         MAGIC, VERSION, sq.orig_height, sq.orig_width, sq.channels,
@@ -155,8 +153,6 @@ def decode_container(
     kept = gs - t
     sq_h, sq_w = pad_h, patch_cols * kept * b
     if codec_id == CODEC_STORE:
-        import numpy as np
-
         want = sq_h * sq_w * channels
         if payload_len != want:
             raise FormatError(f"store payload is {payload_len} bytes, want {want}")

@@ -2,7 +2,7 @@
 
 Pixels live as uint8 arrays of shape (height, width, channels).  Images that
 do not divide evenly into n x n patches are padded by edge replication; the
-pre-padding dimensions ride along so output is always cropped back.
+patch grid keeps the pre-padding dimensions so output is always cropped back.
 """
 
 from __future__ import annotations
@@ -16,16 +16,10 @@ from .errors import DimensionError, GeometryError, ParameterError, ParseError
 
 @dataclass(frozen=True)
 class Image:
-    """A raster plus its pre-padding dimensions.
-
-    pixels has shape (height, width, channels), dtype uint8,
-    channel-interleaved.  orig_height/orig_width record the region that is
-    meaningful; anything beyond it is replication padding.
-    """
+    """A raster: pixels of shape (height, width, channels), dtype uint8,
+    channel-interleaved."""
 
     pixels: np.ndarray
-    orig_height: int
-    orig_width: int
 
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.dtype != np.uint8:
@@ -35,8 +29,6 @@ class Image:
             )
         if self.pixels.shape[2] not in (1, 3):
             raise DimensionError(f"channels must be 1 or 3, got {self.pixels.shape[2]}")
-        if self.orig_height > self.height or self.orig_width > self.width:
-            raise DimensionError("original dims exceed stored dims")
 
     @property
     def height(self) -> int:
@@ -52,11 +44,11 @@ class Image:
 
 
 def make_image(pixels: np.ndarray) -> Image:
-    """Wrap a (H, W, C) or (H, W) uint8 array with orig dims = stored dims."""
+    """Wrap a (H, W, C) or (H, W) uint8 array."""
     arr = np.asarray(pixels, dtype=np.uint8)
     if arr.ndim == 2:
         arr = arr[:, :, None]
-    return Image(arr, arr.shape[0], arr.shape[1])
+    return Image(arr)
 
 
 @dataclass(frozen=True)
@@ -138,15 +130,14 @@ def load_raster(data: bytes) -> Image:
     if len(payload) < need:
         raise ParseError(f"truncated payload: want {need} bytes, have {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Image(pixels.copy(), height, width)
+    return Image(pixels.copy())
 
 
 def store_raster(img: Image) -> bytes:
-    """Serialize the unpadded region as P5 (1 channel) or P6 (3 channels)."""
-    region = img.pixels[: img.orig_height, : img.orig_width]
+    """Serialize as P5 (1 channel) or P6 (3 channels)."""
     magic = b"P5" if img.channels == 1 else b"P6"
-    header = b"%s\n%d %d\n255\n" % (magic, img.orig_width, img.orig_height)
-    return header + region.tobytes()
+    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
+    return header + img.pixels.tobytes()
 
 
 def patchify(img: Image, n: int, b: int) -> PatchGrid:
@@ -170,7 +161,7 @@ def patchify(img: Image, n: int, b: int) -> PatchGrid:
         .transpose(0, 2, 1, 3, 4)
         .reshape(rows * cols, n, n, img.channels)
     )
-    return PatchGrid(patches, n, b, rows, cols, img.orig_height, img.orig_width)
+    return PatchGrid(patches, n, b, rows, cols, h, w)
 
 
 def unpatchify(grid: PatchGrid) -> Image:
@@ -187,5 +178,4 @@ def unpatchify(grid: PatchGrid) -> Image:
         .transpose(0, 2, 1, 3, 4)
         .reshape(grid.padded_height, grid.padded_width, c)
     )
-    cropped = px[: grid.orig_height, : grid.orig_width].copy()
-    return Image(cropped, grid.orig_height, grid.orig_width)
+    return Image(px[: grid.orig_height, : grid.orig_width].copy())

@@ -12,6 +12,9 @@ from .image import Image
 
 PSNR_INFINITE = math.inf
 
+# SSIM: window side and the stabilising constants K1, K2 (the standard values)
+SSIM_WINDOW, SSIM_K1, SSIM_K2 = 8, 0.01, 0.03
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -30,20 +33,16 @@ class QualityReport:
 
 
 def _check_dims(a: Image, b: Image):
-    if (a.orig_height, a.orig_width, a.channels) != (b.orig_height, b.orig_width, b.channels):
+    if a.pixels.shape != b.pixels.shape:
         raise DimensionError(
-            f"image dims differ: {a.orig_height}x{a.orig_width}x{a.channels} vs "
-            f"{b.orig_height}x{b.orig_width}x{b.channels}"
+            f"image dims differ: {a.height}x{a.width}x{a.channels} vs "
+            f"{b.height}x{b.width}x{b.channels}"
         )
-
-
-def _region(img: Image) -> np.ndarray:
-    return img.pixels[: img.orig_height, : img.orig_width].astype(np.float64)
 
 
 def mse(a: Image, b: Image) -> float:
     _check_dims(a, b)
-    return float(((_region(a) - _region(b)) ** 2).mean())
+    return float(((a.pixels.astype(np.float64) - b.pixels) ** 2).mean())
 
 
 def psnr(a: Image, b: Image) -> float:
@@ -54,22 +53,22 @@ def psnr(a: Image, b: Image) -> float:
     return 10.0 * math.log10(255.0**2 / err)
 
 
-def ssim(a: Image, b: Image, window: int = 8, k1: float = 0.01, k2: float = 0.03) -> float:
-    """Single-scale SSIM over non-overlapping window x window tiles.
+def ssim(a: Image, b: Image) -> float:
+    """Single-scale SSIM over non-overlapping SSIM_WINDOW-square tiles.
 
     Uniform windows, stride = window, L = 255; channels averaged.
     """
     _check_dims(a, b)
-    if a.orig_height < window or a.orig_width < window:
+    window = SSIM_WINDOW
+    if a.height < window or a.width < window:
         raise DimensionError(
-            f"image {a.orig_height}x{a.orig_width} smaller than window {window}"
+            f"image {a.height}x{a.width} smaller than window {window}"
         )
-    x, y = _region(a), _region(b)
-    th = a.orig_height // window * window
-    tw = a.orig_width // window * window
-    x = x[:th, :tw]
-    y = y[:th, :tw]
-    c = x.shape[2]
+    th = a.height // window * window
+    tw = a.width // window * window
+    x = a.pixels[:th, :tw].astype(np.float64)
+    y = b.pixels[:th, :tw].astype(np.float64)
+    c = a.channels
     # tile into (tiles, window*window) per channel
     def tiles(img):
         return (
@@ -82,8 +81,8 @@ def ssim(a: Image, b: Image, window: int = 8, k1: float = 0.01, k2: float = 0.03
     mux, muy = tx.mean(axis=1), ty.mean(axis=1)
     vx, vy = tx.var(axis=1), ty.var(axis=1)
     cov = ((tx - mux[:, None]) * (ty - muy[:, None])).mean(axis=1)
-    l_const = (k1 * 255.0) ** 2
-    c_const = (k2 * 255.0) ** 2
+    l_const = (SSIM_K1 * 255.0) ** 2
+    c_const = (SSIM_K2 * 255.0) ** 2
     s = ((2 * mux * muy + l_const) * (2 * cov + c_const)) / (
         (mux**2 + muy**2 + l_const) * (vx + vy + c_const)
     )

@@ -13,6 +13,7 @@ in raster (row-major sub-patch) order, scaled to [0, 1].
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -171,18 +172,19 @@ def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig) -> Te
 
 
 def patch_to_tokens(patch: np.ndarray, b: int) -> np.ndarray:
-    """(n, n, C) uint8 -> (grid**2, b*b*C) float in [0, 1], raster order."""
-    n, _, c = patch.shape
+    """(..., n, n, C) uint8 -> (..., grid**2, b*b*C) float in [0, 1], raster order."""
+    *lead, n, _, c = patch.shape
     gs = n // b
-    sub = patch.reshape(gs, b, gs, b, c).transpose(0, 2, 1, 3, 4)
-    return sub.reshape(gs * gs, b * b * c).astype(np.float64) / 255.0
+    sub = patch.reshape(*lead, gs, b, gs, b, c).swapaxes(-4, -3)
+    return sub.reshape(*lead, gs * gs, b * b * c).astype(np.float64) / 255.0
 
 
 def tokens_to_patch(tokens: np.ndarray, b: int, channels: int) -> np.ndarray:
     """Inverse of patch_to_tokens; values clamped to [0, 1] then scaled."""
-    gs = int(round(np.sqrt(tokens.shape[0])))
-    sub = tokens.reshape(gs, gs, b, b, channels)
-    patch = sub.transpose(0, 2, 1, 3, 4).reshape(gs * b, gs * b, channels)
+    lead = tokens.shape[:-2]
+    gs = math.isqrt(tokens.shape[-2])
+    sub = tokens.reshape(*lead, gs, gs, b, b, channels)
+    patch = sub.swapaxes(-4, -3).reshape(*lead, gs * b, gs * b, channels)
     return np.clip(np.rint(patch * 255.0), 0, 255).astype(np.uint8)
 
 
@@ -247,17 +249,30 @@ def _no_grad(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(v.data) for k, v in params.items()}
 
 
-def decode_and_reconstruct(patch: np.ndarray, mask: EraseMask,
+# Patches per forward_tokens call at inference, from perfbench server_decode
+# (two connections, 128x128 RGB, default_config, 2-vCPU host).  Slices of
+# 1 / 2 / 4 / 8 / 16 patches: median latency 234-287 / 224-243 / 212-220 /
+# 226-251 / 243-254 ms, server peak RSS 70-71 / 74-78 / 88 / 91 / 109-113 MB.
+# A per-patch decode on float32 weights read 288-321 ms and 67-69 MB; 2 is
+# the fastest slice that keeps peak RSS within 20% of that.
+_SLICE = 2
+
+
+def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
-    """Reconstruct one uint8 patch: model predictions at erased positions,
-    original pixels everywhere the mask kept them.  Records no graph."""
+    """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
+    model predictions at erased positions, original pixels everywhere the
+    mask kept them.  Runs the training forward on slices of _SLICE patches
+    through parameter views that record no graph."""
     b = cfg.subpatch_b
-    tokens = patch_to_tokens(patch, b)
-    pred = forward_tokens(Tensor(tokens), mask, _no_grad(params), cfg).data
-    recon = tokens_to_patch(pred, b, cfg.channels)
-    keep = np.kron(mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
-    recon[keep] = patch[keep]  # exact passthrough of kept pixels
-    return recon
+    tokens = patch_to_tokens(patches, b)
+    stack = tokens.reshape(-1, *tokens.shape[-2:])
+    view = _no_grad(params)
+    pred = np.concatenate([forward_tokens(Tensor(stack[i:i + _SLICE]), mask, view, cfg).data
+                           for i in range(0, len(stack), _SLICE)])
+    recon = tokens_to_patch(pred.reshape(tokens.shape), b, cfg.channels)
+    erased = np.kron(1 - mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
+    return np.where(erased[..., None], recon, patches)  # kept pixels pass through exactly
 
 
 def reconstruct_grid(grid: PatchGrid, mask: EraseMask,
@@ -267,8 +282,7 @@ def reconstruct_grid(grid: PatchGrid, mask: EraseMask,
     got = (grid.subpatch_size_b, grid.subgrid_side, grid.channels)
     if got != want:
         raise ParameterError(f"model wants (b, grid side, channels) = {want}, image has {got}")
-    out = np.stack([decode_and_reconstruct(p, mask, params, cfg) for p in grid.patches])
-    return replace(grid, patches=out)
+    return replace(grid, patches=decode_and_reconstruct(grid.patches, mask, params, cfg))
 
 
 def loss(x: Tensor, y: Tensor, lam: float = 0.3, perceptual=None) -> Tensor:
@@ -326,9 +340,7 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
         params = init_params(cfg, seed=settings.seed)
     opt = AdamW(lr=settings.learning_rate, weight_decay=settings.weight_decay)
     trace: list[float] = []
-    tokens_all = np.stack(
-        [patch_to_tokens(p, cfg.subpatch_b) for p in dataset]
-    )
+    tokens_all = patch_to_tokens(dataset, cfg.subpatch_b)
     for step in range(settings.steps):
         idx = rng.integers(0, dataset.shape[0], size=min(settings.batch_size, dataset.shape[0]))
         batch = Tensor(tokens_all[idx])
@@ -351,7 +363,7 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
 def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
               mask: EraseMask) -> float:
     """Mean L1 over a dataset under one fixed mask, no gradient."""
-    tokens = np.stack([patch_to_tokens(p, cfg.subpatch_b) for p in dataset])
+    tokens = patch_to_tokens(dataset, cfg.subpatch_b)
     pred = forward_tokens(Tensor(tokens), mask, _no_grad(params), cfg)
     return float(np.abs(pred.data - tokens).mean())
 
@@ -419,6 +431,6 @@ def load_checkpoint(data: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
         size = int(np.prod(shape))
         vals = np.frombuffer(data, dtype="<f4", count=size, offset=off)
         off += 4 * size
-        params[name] = Tensor(vals.reshape(shape).astype(np.float32),
-                              requires_grad=True)
+        # Tensor widens the float32 values to float64, which is exact
+        params[name] = Tensor(vals.reshape(shape), requires_grad=True)
     return params, cfg

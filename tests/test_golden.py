@@ -89,7 +89,8 @@ def test_squeeze_and_containers_frozen(seed):
 def test_reconstruct_grid_matches_reference():
     cfg = ModelConfig(subpatch_b=2, channels=3, d_model=16, grid_side=4,
                       heads=2, ffn_multiplier=2)
-    # float32 parameters that record a graph, as load_checkpoint returns them
+    # float32-exact parameters, widened to float64, that record a graph, as
+    # load_checkpoint returns them
     params, _ = load_checkpoint(save_checkpoint(init_params(cfg, seed=1), cfg))
     rng = np.random.default_rng(2)
     grid = patchify(make_image(rng.integers(0, 256, (14, 24, 3), dtype=np.uint8)), 8, 2)

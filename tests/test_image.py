@@ -14,7 +14,7 @@ def test_load_p5_basic():
     img = load_raster(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     assert img.channels == 1
     assert img.pixels[:, :, 0].tolist() == [[1, 2], [3, 4]]
-    assert (img.orig_height, img.orig_width) == (2, 2)
+    assert (img.height, img.width) == (2, 2)
 
 
 def test_store_single_pixel():

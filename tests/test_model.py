@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from easz import autodiff as ad
+from easz import model as easz_model
 from easz.autodiff import Tensor
 from easz.errors import DimensionError, EaszError, FormatError, ParameterError
-from easz.image import make_image, store_raster
+from easz.image import make_image, patchify, store_raster
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask)
 from easz.model import (ModelConfig, TrainSettings, assemble,
                         decode_and_reconstruct, embed, encode, eval_loss,
                         forward_tokens, init_params, load_checkpoint, loss,
-                        param_count, patch_to_tokens, save_checkpoint,
-                        tokens_to_patch, train)
+                        param_count, patch_to_tokens, reconstruct_grid,
+                        save_checkpoint, tokens_to_patch, train)
 from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
 
 TINY = ModelConfig(subpatch_b=2, channels=1, d_model=16, grid_side=4, heads=2,
@@ -42,6 +43,10 @@ def test_patch_token_roundtrip():
     tokens = patch_to_tokens(patch, 2)
     assert tokens.shape == (16, 4)
     assert (tokens_to_patch(tokens, 2, 1) == patch).all()
+    stack = rng.integers(0, 256, (3, 8, 8, 1), dtype=np.uint8)
+    tokens = patch_to_tokens(stack, 2)
+    assert np.array_equal(tokens, np.stack([patch_to_tokens(p, 2) for p in stack]))
+    assert np.array_equal(tokens_to_patch(tokens, 2, 1), stack)
 
 
 def test_embed_additive_zero_table_is_projection(tiny_params):
@@ -162,6 +167,36 @@ def test_reconstruct_in_range(tiny_params):
         assert out.dtype == np.uint8 and out.shape == patch.shape
 
 
+def test_inference_records_no_graph(tiny_params, monkeypatch):
+    outputs = []
+
+    def spy(*args):
+        outputs.append(forward_tokens(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(easz_model, "forward_tokens", spy)
+    rng = np.random.default_rng(17)
+    img = make_image(rng.integers(0, 256, (8, 24), dtype=np.uint8))
+    mask = tiny_mask()
+    decode_and_reconstruct(img.pixels[:, :8], mask, tiny_params, TINY)
+    reconstruct_grid(patchify(img, 8, 2), mask, tiny_params, TINY)
+    eval_loss(np.stack([img.pixels[:, :8]] * 2), TINY, tiny_params, mask)
+    slices = -(-3 // easz_model._SLICE)  # the grid has 3 patches
+    assert len(outputs) == 1 + slices + 1
+    for out in outputs:
+        assert not out.requires_grad and out._parents == ()
+
+
+def test_reconstruct_grid_slices_match_single_patches(tiny_params):
+    # 3 patches: the last forward slice is partial
+    rng = np.random.default_rng(19)
+    grid = patchify(make_image(rng.integers(0, 256, (8, 24), dtype=np.uint8)), 8, 2)
+    mask = tiny_mask(t=2)
+    out = reconstruct_grid(grid, mask, tiny_params, TINY)
+    for patch, got in zip(grid.patches, out.patches):
+        assert np.array_equal(got, decode_and_reconstruct(patch, mask, tiny_params, TINY))
+
+
 def test_loss_values():
     x = Tensor(np.zeros((4, 4)))
     y = Tensor(np.ones((4, 4)))
@@ -199,8 +234,14 @@ def test_checkpoint_roundtrip():
     loaded, cfg = load_checkpoint(blob)
     assert cfg == TINY
     for name in params:
+        assert loaded[name].data.dtype == np.float64
         assert np.array_equal(loaded[name].data, params[name].data)
     assert save_checkpoint(loaded, cfg) == blob
+    # fine-tuning from a checkpoint runs in float64 throughout
+    rng = np.random.default_rng(18)
+    data = rng.integers(0, 256, (4, 8, 8, 1), dtype=np.uint8)
+    tuned, _ = train(data, TINY, TrainSettings(steps=1, batch_size=4), params=loaded)
+    assert all(p.grad.dtype == np.float64 for p in tuned.values())
 
 
 def test_checkpoint_truncated():
