@@ -1,10 +1,13 @@
 """Minimal reverse-mode differentiation engine.
 
 Just the primitives the reconstruction transformer needs, built on numpy
-arrays.  Gradients accumulate additively into Tensor.grad; call backward()
-on a scalar.  Every Tensor holds float64, for training and inference alike,
-so finite-difference checks are meaningful; float32 appears only in the
-checkpoint file.
+arrays.  A primitive is its forward value plus one vector-Jacobian product
+(VJP) per input, handed to _op, which alone records the graph and routes
+gradients.  Call backward() on a scalar; gradients accumulate into
+Tensor.grad by rebinding, never in place, so a Tensor.grad may share memory
+with other gradients and is read-only.  Every Tensor holds float64, for
+training and inference alike, so finite-difference checks are meaningful;
+float32 appears only in the checkpoint file.
 """
 
 from __future__ import annotations
@@ -35,10 +38,7 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         if self.data.size != 1:
@@ -66,11 +66,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _wrap(data, parents, backward) -> Tensor:
+def _op(data, *edges) -> Tensor:
+    """A primitive's output: its value plus one (input, vjp) edge per input.
+
+    Only edges whose input requires a gradient are kept.  backward() maps
+    the output gradient through each kept edge's vjp, sums it down to the
+    input's shape, and accumulates it, in edge order.
+    """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    edges = [(x, vjp) for x, vjp in edges if x.requires_grad]
+    if edges:
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
+        out._parents = tuple(x for x, _ in edges)
+
+        def backward(g):
+            for x, vjp in edges:
+                x._accumulate(_unbroadcast(vjp(g), x.shape))
+
         out._backward = backward
     return out
 
@@ -90,14 +102,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _wrap(data, (a, b), backward)
+    return _op(data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -106,21 +111,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _wrap(data, (a, b), backward)
+    return _op(data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        a._accumulate(g * s)
-
-    return _wrap(a.data * s, (a,), backward)
+    return _op(a.data * s, (a, lambda g: g * s))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -130,14 +125,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _wrap(data, (a, b), backward)
+    return _op(data, (a, lambda g: g @ b.data.swapaxes(-1, -2)),
+               (b, lambda g: a.data.swapaxes(-1, -2) @ g))
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -147,30 +136,25 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _wrap(data, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    edges = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * data.ndim
+        idx[axis] = slice(lo, hi)
+        edges.append((t, lambda g, idx=tuple(idx): g[idx]))
+    return _op(data, *edges)
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis."""
     idx = np.asarray(indices)
-    data = np.take(x.data, idx, axis=-2)
 
-    def backward(g):
+    def vjp(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx.swapaxes(0, -2), idx, g.swapaxes(0, -2))
-        x._accumulate(gx)
+        return gx
 
-    return _wrap(data, (x,), backward)
+    return _op(np.take(x.data, idx, axis=-2), (x, vjp))
 
 
 def scatter_rows(x: Tensor, indices: np.ndarray, total_rows: int) -> Tensor:
@@ -187,27 +171,16 @@ def scatter_rows(x: Tensor, indices: np.ndarray, total_rows: int) -> Tensor:
     shape = x.data.shape[:-2] + (total_rows,) + x.data.shape[-1:]
     data = np.zeros(shape, dtype=x.data.dtype)
     data[..., idx, :] = x.data
-
-    def backward(g):
-        x._accumulate(np.take(g, idx, axis=-2))
-
-    return _wrap(data, (x,), backward)
+    return _op(data, (x, lambda g: np.take(g, idx, axis=-2)))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _wrap(x.data.reshape(shape), (x,), backward)
+    return _op(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
 
 
 def transpose(x: Tensor, axes: tuple) -> Tensor:
     inv = np.argsort(axes)
-
-    def backward(g):
-        x._accumulate(g.transpose(inv))
-
-    return _wrap(x.data.transpose(axes), (x,), backward)
+    return _op(x.data.transpose(axes), (x, lambda g: g.transpose(inv)))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -216,47 +189,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
 
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
-        if x.requires_grad:
-            gh = g * gamma.data
-            gx = inv * (
-                gh
-                - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            )
-            x._accumulate(gx)
+    def vjp_x(g):
+        gh = g * gamma.data
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
 
-    return _wrap(data, (x, gamma, beta), backward)
+    return _op(xhat * gamma.data + beta.data,
+               (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        x._accumulate(s * (g - dot))
-
-    return _wrap(s, (x,), backward)
+    return _op(s, (x, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
-    data = x.data * phi
 
-    def backward(g):
+    def vjp(g):
         pdf = np.exp(-0.5 * x.data**2) / np.sqrt(2.0 * np.pi)
-        x._accumulate(g * (phi + x.data * pdf))
+        return g * (phi + x.data * pdf)
 
-    return _wrap(data, (x,), backward)
+    return _op(x.data * phi, (x, vjp))
 
 
 def mean_abs_error(x: Tensor, y: Tensor) -> Tensor:
@@ -264,23 +222,13 @@ def mean_abs_error(x: Tensor, y: Tensor) -> Tensor:
     if x.shape != y.shape:
         raise DimensionError(f"mean_abs_error: shapes {x.shape} and {y.shape}")
     diff = x.data - y.data
-    data = np.abs(diff).mean()
     sign = np.sign(diff) / diff.size
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * sign)
-        if y.requires_grad:
-            y._accumulate(-g * sign)
-
-    return _wrap(np.asarray(data), (x, y), backward)
+    return _op(np.asarray(np.abs(diff).mean()),
+               (x, lambda g: g * sign), (y, lambda g: -g * sign))
 
 
 def tsum(x: Tensor) -> Tensor:
-    def backward(g):
-        x._accumulate(np.full_like(x.data, float(g)))
-
-    return _wrap(np.asarray(x.data.sum()), (x,), backward)
+    return _op(np.asarray(x.data.sum()), (x, lambda g: np.full_like(x.data, float(g))))
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-6, order: int = 2) -> float:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: compress, decompress, train, eval, serve, send, bench.
-Set EASZ_LOG=debug|info|warning to control verbosity.
+EASZ_LOG=debug|info|warning|error sets the level of Python logging; easz
+itself writes no log lines yet.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .image import load_raster, store_raster
 from .metrics import ATTN_COST_NOTE, QualityReport, attn_cost, mse, psnr, saving_ratio, ssim
 from .pipeline import (STAGES, PipelineConfig, StageTimings, compress_bytes,
                        decompress_bytes)
-
-log = logging.getLogger("easz")
 
 
 def _codec(args) -> ExternalCodec | None:
@@ -279,10 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("EASZ_LOG", "warning").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("EASZ_LOG", "warning")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise EaszError(f"EASZ_LOG={level!r} is not a logging level "
+                            "(debug, info, warning, error)")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except EaszError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,35 +123,28 @@ def decode_container(
     if n == 0 or b == 0 or n % b != 0:
         raise FormatError(f"inconsistent geometry n={n}, b={b}")
     gs = n // b
-    off = _HEADER.size
     if mask_mode == MASK_EXPLICIT:
         mask_len = (gs * gs + 7) // 8
-        if len(data) < off + mask_len:
-            raise FormatError("container truncated inside mask bits")
-        mask = unpack_mask(data[off : off + mask_len], gs, gs)
-        off += mask_len
     elif mask_mode == MASK_SEED:
-        mask = generate_row_mask(SamplerParams(
-            rows=gs, cols=gs, samples_per_row=t,
-            intra_row_delta=delta, inter_row_delta=big_delta, seed=seed,
-        ))
+        mask_len = 0
     else:
         raise FormatError(f"unknown mask_mode {mask_mode}")
+    # Every size is checked against the stream before the mask is unpacked
+    # or regenerated, so a short hostile container cannot make it allocate.
+    off = _HEADER.size + mask_len
     if len(data) < off + 8:
         raise FormatError("container truncated before payload length")
     (payload_len,) = struct.unpack_from(">Q", data, off)
-    off += 8
-    payload = data[off : off + payload_len]
-    if len(payload) != payload_len or len(data) != off + payload_len:
+    payload = data[off + 8:]
+    if len(payload) != payload_len:
         raise FormatError(
             f"payload length mismatch: header says {payload_len}, "
-            f"stream has {len(data) - off}"
+            f"stream has {len(payload)}"
         )
     pad_h = (orig_h + n - 1) // n * n
     pad_w = (orig_w + n - 1) // n * n
     patch_rows, patch_cols = pad_h // n, pad_w // n
-    kept = gs - t
-    sq_h, sq_w = pad_h, patch_cols * kept * b
+    sq_h, sq_w = pad_h, patch_cols * (gs - t) * b
     if codec_id == CODEC_STORE:
         want = sq_h * sq_w * channels
         if payload_len != want:
@@ -169,6 +162,13 @@ def decode_container(
         pixels = raster.pixels
     else:
         raise FormatError(f"unknown codec id {codec_id}")
+    if mask_mode == MASK_EXPLICIT:
+        mask = unpack_mask(data[_HEADER.size:off], gs, gs)
+    else:
+        mask = generate_row_mask(SamplerParams(
+            rows=gs, cols=gs, samples_per_row=t,
+            intra_row_delta=delta, inter_row_delta=big_delta, seed=seed,
+        ))
     sq = SqueezedImage(pixels, n, b, t, patch_rows, patch_cols, orig_h, orig_w)
     return sq, mask, codec_id
 

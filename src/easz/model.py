@@ -226,8 +226,7 @@ def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tenso
     Decoder positional embedding is added (never multiplied) so erased
     positions, which arrive as exact zero vectors, stay distinguishable.
     """
-    all_pos = np.arange(cfg.num_positions)
-    x = ad.add(tokens, ad.gather_rows(params["pos_dec"], all_pos))
+    x = ad.add(tokens, params["pos_dec"])
     for i in range(_BLOCKS):
         x = _block(x, params, f"dec{i}", cfg)
     return ad.linear(x, params["proj_out.w"], params["proj_out.b"])
@@ -244,11 +243,6 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
     return decode(full, params, cfg)
 
 
-def _no_grad(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Views of params that record no autodiff graph, for inference."""
-    return {k: Tensor(v.data) for k, v in params.items()}
-
-
 # Patches per forward_tokens call at inference, from perfbench server_decode
 # (two connections, 128x128 RGB, default_config, 2-vCPU host).  Slices of
 # 1 / 2 / 4 / 8 / 16 patches: median latency 234-287 / 224-243 / 212-220 /
@@ -258,18 +252,24 @@ def _no_grad(params: dict[str, Tensor]) -> dict[str, Tensor]:
 _SLICE = 2
 
 
+def _predict(tokens: np.ndarray, mask: EraseMask, params: dict[str, Tensor],
+             cfg: ModelConfig) -> np.ndarray:
+    """Model output for a token stack (N, positions, token_dim), computed
+    by the training forward on slices of _SLICE patches through parameter
+    views that record no graph."""
+    view = {k: Tensor(v.data) for k, v in params.items()}
+    return np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg).data
+                           for i in range(0, len(tokens), _SLICE)])
+
+
 def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
     """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
     model predictions at erased positions, original pixels everywhere the
-    mask kept them.  Runs the training forward on slices of _SLICE patches
-    through parameter views that record no graph."""
+    mask kept them."""
     b = cfg.subpatch_b
     tokens = patch_to_tokens(patches, b)
-    stack = tokens.reshape(-1, *tokens.shape[-2:])
-    view = _no_grad(params)
-    pred = np.concatenate([forward_tokens(Tensor(stack[i:i + _SLICE]), mask, view, cfg).data
-                           for i in range(0, len(stack), _SLICE)])
+    pred = _predict(tokens.reshape(-1, *tokens.shape[-2:]), mask, params, cfg)
     recon = tokens_to_patch(pred.reshape(tokens.shape), b, cfg.channels)
     erased = np.kron(1 - mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
     return np.where(erased[..., None], recon, patches)  # kept pixels pass through exactly
@@ -364,8 +364,7 @@ def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
               mask: EraseMask) -> float:
     """Mean L1 over a dataset under one fixed mask, no gradient."""
     tokens = patch_to_tokens(dataset, cfg.subpatch_b)
-    pred = forward_tokens(Tensor(tokens), mask, _no_grad(params), cfg)
-    return float(np.abs(pred.data - tokens).mean())
+    return float(np.abs(_predict(tokens, mask, params, cfg) - tokens).mean())
 
 
 # --- checkpoint format -----------------------------------------------------

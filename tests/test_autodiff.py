@@ -48,6 +48,15 @@ def test_simple_closed_form_gradient():
     assert grad_check(lambda v: ad.tsum(ad.mul(v, v)), x) < 1e-8
 
 
+def test_shared_gradients_are_not_added_in_place():
+    # add routes one gradient array to both inputs; a's second contribution
+    # must not change the gradient b already holds
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    ad.tsum(ad.add(ad.add(a, b), a)).backward()
+    assert np.array_equal(a.grad, np.full(3, 2.0))
+    assert np.array_equal(b.grad, np.ones(3))
+
+
 def test_mae_tie_subgradient_zero():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     out = ad.mean_abs_error(x, Tensor(np.array([1.0, 2.0])))

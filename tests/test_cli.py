@@ -106,6 +106,12 @@ def test_missing_train_data_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_log_level_exits_1(raster64, monkeypatch, capsys):
+    monkeypatch.setenv("EASZ_LOG", "verbose")
+    assert main(["eval", str(raster64), str(raster64)]) == 1
+    assert "error: EASZ_LOG='verbose'" in capsys.readouterr().err
+
+
 def test_external_codec_flag_validation(raster64, tmp_path, capsys):
     assert main(["compress", str(raster64), "--codec", "external",
                  "--out", str(tmp_path / "x.easz")]) == 1

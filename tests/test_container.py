@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import easz
 from easz.container import (CODEC_EXTERNAL, CODEC_STORE, MASK_EXPLICIT,
                             MASK_SEED, ExternalCodec, bpp, decode_container,
                             encode_container)
@@ -106,6 +113,31 @@ def test_truncated_payload():
     frame = encode_container(sq, mask)
     with pytest.raises(FormatError, match="length mismatch"):
         decode_container(frame[:-5])
+
+
+def test_seed_mode_sizes_checked_before_mask():
+    # A 40-byte seed-mode container that claims n=65535, b=1: regenerating
+    # its mask would allocate 4 GiB.  In a child capped at 1 GiB of address
+    # space (its own limit), the sizes must be rejected first, at once.
+    child = textwrap.dedent("""
+        import resource, struct
+        from easz.container import (CODEC_STORE, MAGIC, MASK_SEED, VERSION,
+                                    _HEADER, decode_container)
+        frame = _HEADER.pack(MAGIC, VERSION, 1, 1, 1, 65535, 1, 1, MASK_SEED,
+                             0, 0, 0, CODEC_STORE) + struct.pack(">Q", 0)
+        assert len(frame) == 40
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        try:
+            decode_container(frame)
+        except Exception as exc:
+            print(type(exc).__name__)
+    """)
+    src = str(Path(easz.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.strip() == "FormatError", proc.stderr
 
 
 def test_trailing_garbage():

@@ -197,6 +197,16 @@ def test_reconstruct_grid_slices_match_single_patches(tiny_params):
         assert np.array_equal(got, decode_and_reconstruct(patch, mask, tiny_params, TINY))
 
 
+def test_eval_loss_slices_match_whole_batch(tiny_params):
+    # 3 patches: the last slice is partial
+    rng = np.random.default_rng(23)
+    data = rng.integers(0, 256, (3, 8, 8, 1), dtype=np.uint8)
+    mask = tiny_mask(t=2)
+    tokens = patch_to_tokens(data, TINY.subpatch_b)
+    whole = forward_tokens(Tensor(tokens), mask, tiny_params, TINY).data
+    assert eval_loss(data, TINY, tiny_params, mask) == float(np.abs(whole - tokens).mean())
+
+
 def test_loss_values():
     x = Tensor(np.zeros((4, 4)))
     y = Tensor(np.ones((4, 4)))
