@@ -42,10 +42,9 @@ print(f"container: {len(frame)} bytes, "
       f"bpp={bpp(len(frame), 256, 256):.3f} vs 8.0 for the raw image")
 
 # Decode and scatter the kept sub-patches back into place.  Without a
-# model the erased cells stay at the fill value, but every kept pixel is
-# byte-identical.
+# model the erased cells stay zero, but every kept pixel is byte-identical.
 sq2, mask2, _ = decode_container(frame)
-restored = unsqueeze(sq2, mask2, fill=128)
+restored = unsqueeze(sq2, mask2)
 kept = np.kron(mask.bits, np.ones((4, 4), dtype=np.uint8)).astype(bool)
 kept = np.tile(kept, (8, 8))
 print("kept pixels identical:",

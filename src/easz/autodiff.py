@@ -183,11 +183,11 @@ def transpose(x: Tensor, axes: tuple) -> Tensor:
     return _op(x.data.transpose(axes), (x, lambda g: g.transpose(inv)))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last dim to zero mean / unit variance, then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
 
     def vjp_x(g):

@@ -28,9 +28,8 @@ from .pipeline import (STAGES, PipelineConfig, StageTimings, compress_bytes,
 def _codec(args) -> ExternalCodec | None:
     if args.codec != "external":
         return None
-    if not args.codec_cmd or not args.codec_decode_cmd:
-        raise EaszError("--codec external needs --codec-cmd and --codec-decode-cmd")
-    return ExternalCodec(args.codec_cmd, args.codec_decode_cmd, args.quality)
+    # "" not None: shlex.split(None) would read stdin
+    return ExternalCodec(args.codec_cmd or "", args.codec_decode_cmd or "", args.quality)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -71,6 +70,8 @@ def cmd_decompress(args) -> int:
 def cmd_train(args) -> int:
     from .model import ModelConfig, TrainSettings, save_checkpoint, train
 
+    if args.steps < 1:
+        raise EaszError(f"--steps must be >= 1, got {args.steps}")
     patches = _load_patch_dir(Path(args.data), args.n)
     cfg = ModelConfig(
         subpatch_b=args.b, channels=patches.shape[3], d_model=args.d_model,
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
                             "(debug, info, warning, error)")
         logging.basicConfig(level=level.upper())
         return args.func(args)
-    except EaszError as exc:
+    except (EaszError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

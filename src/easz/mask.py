@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, GeometryError, ParameterError
+from .errors import FormatError, ParameterError
 from .prng import SplitMix64
 
 
@@ -43,9 +43,6 @@ class EraseMask:
     @property
     def erased_count(self) -> int:
         return int(self.bits.size - self.bits.sum())
-
-    def kept_per_row(self) -> np.ndarray:
-        return self.bits.sum(axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, EraseMask):
@@ -173,11 +170,3 @@ def unpack_mask(data: bytes, rows: int, cols: int) -> EraseMask:
         )
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=rows * cols)
     return EraseMask(bits.reshape(rows, cols).astype(np.uint8))
-
-
-def uniform_kept_count(m: EraseMask) -> int:
-    """Kept sub-patches per row, raising if rows are ragged."""
-    kept = m.kept_per_row()
-    if not (kept == kept[0]).all():
-        raise GeometryError(f"ragged mask: kept-per-row counts {sorted(set(kept.tolist()))}")
-    return int(kept[0])

@@ -30,8 +30,6 @@ CHECKPOINT_MAGIC = b"EASZCKPT"
 CHECKPOINT_VERSION = 1
 _BLOCKS = 2  # transformer blocks in each of encoder and decoder; fixes checkpoint layout
 
-_POS_MODES = ("multiplicative", "additive")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -41,7 +39,6 @@ class ModelConfig:
     grid_side: int  # n / b
     heads: int = 4
     ffn_multiplier: int = 4
-    pos_embed_mode: str = "multiplicative"
 
     def __post_init__(self):
         if self.heads < 1:
@@ -50,8 +47,6 @@ class ModelConfig:
             raise ParameterError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
             )
-        if self.pos_embed_mode not in _POS_MODES:
-            raise ParameterError(f"pos_embed_mode must be one of {_POS_MODES}")
         if self.channels not in (1, 3):
             raise ParameterError(f"channels must be 1 or 3, got {self.channels}")
 
@@ -65,9 +60,8 @@ class ModelConfig:
 
 
 # Default production configuration; tests use a d_model=32 variant.
-def default_config(subpatch_b: int = 4, channels: int = 3, grid_side: int = 8) -> ModelConfig:
-    return ModelConfig(subpatch_b=subpatch_b, channels=channels,
-                       d_model=128, grid_side=grid_side)
+def default_config() -> ModelConfig:
+    return ModelConfig(subpatch_b=4, channels=3, d_model=128, grid_side=8)
 
 
 def _block_param_shapes(cfg: ModelConfig, prefix: str):
@@ -112,8 +106,8 @@ def param_count(cfg: ModelConfig) -> int:
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Scaled-normal projections (std 0.02), ones/zeros for norm affines.
 
-    Multiplicative positional tables start at 1 + N(0, 0.02) so the early
-    combination is near-neutral; additive tables start at N(0, 0.02).
+    The multiplicative encoder table starts at 1 + N(0, 0.02) so the early
+    combination is near-neutral; the additive decoder table at N(0, 0.02).
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -121,12 +115,11 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
         leaf = name.rsplit(".", 1)[-1]
         if name.startswith("pos_"):
             vals = rng.normal(0.0, 0.02, shape)
-            if cfg.pos_embed_mode == "multiplicative" and name == "pos_enc":
+            if name == "pos_enc":
                 vals += 1.0
-            # decoder positions are always additive; see decode()
         elif leaf == "g":
             vals = np.ones(shape)
-        elif leaf in ("b", "bq", "bv", "bo", "b1", "b2") and len(shape) == 1:
+        elif len(shape) == 1:
             vals = np.zeros(shape)
         else:
             vals = rng.normal(0.0, 0.02, shape)
@@ -190,17 +183,14 @@ def tokens_to_patch(tokens: np.ndarray, b: int, channels: int) -> np.ndarray:
 
 def embed(tokens: Tensor, positions: np.ndarray, params: dict[str, Tensor],
           cfg: ModelConfig) -> Tensor:
-    """Project flattened sub-patches to d_model and combine with positions."""
+    """Project flattened sub-patches to d_model and scale by positions."""
     positions = np.asarray(positions)
     if positions.size and (positions.min() < 0 or positions.max() >= cfg.num_positions):
         raise ParameterError(
             f"positions out of range [0, {cfg.num_positions})"
         )
     x = ad.linear(tokens, params["proj_in.w"], params["proj_in.b"])
-    pe = ad.gather_rows(params["pos_enc"], positions)
-    if cfg.pos_embed_mode == "multiplicative":
-        return ad.mul(x, pe)
-    return ad.add(x, pe)
+    return ad.mul(x, ad.gather_rows(params["pos_enc"], positions))
 
 
 def encode(embeddings: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -373,6 +363,7 @@ def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
 # float32-LE payload | digest64 of everything before it.  Big-endian header.
 
 _CFG_STRUCT = struct.Struct(">BBHBBHB")
+_POS_MULTIPLICATIVE = 0  # pos_mode byte: the encoder table scales the tokens
 
 
 def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig) -> bytes:
@@ -381,8 +372,7 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig) -> bytes:
     buf.write(struct.pack(">B", CHECKPOINT_VERSION))
     buf.write(_CFG_STRUCT.pack(
         cfg.subpatch_b, cfg.channels, cfg.d_model, cfg.heads,
-        cfg.ffn_multiplier, cfg.grid_side,
-        _POS_MODES.index(cfg.pos_embed_mode),
+        cfg.ffn_multiplier, cfg.grid_side, _POS_MULTIPLICATIVE,
     ))
     count = param_count(cfg)
     buf.write(struct.pack(">Q", count))
@@ -406,11 +396,10 @@ def load_checkpoint(data: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
     off = 9
     b, ch, d, heads, ffn, gs, pm = _CFG_STRUCT.unpack_from(data, off)
     off += _CFG_STRUCT.size
-    if pm >= len(_POS_MODES):
+    if pm != _POS_MULTIPLICATIVE:
         raise FormatError(f"unknown positional mode id {pm}")
     cfg = ModelConfig(subpatch_b=b, channels=ch, d_model=d, grid_side=gs,
-                      heads=heads, ffn_multiplier=ffn,
-                      pos_embed_mode=_POS_MODES[pm])
+                      heads=heads, ffn_multiplier=ffn)
     (count,) = struct.unpack_from(">Q", data, off)
     off += 8
     if count != param_count(cfg):

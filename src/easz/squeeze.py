@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .image import Image, PatchGrid, unpatchify
-from .mask import EraseMask, uniform_kept_count
+from .mask import EraseMask
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ def _kept_columns(mask: EraseMask, gs: int) -> np.ndarray:
         raise GeometryError(
             f"mask is {mask.rows}x{mask.cols}, sub-patch grid is {gs}x{gs}"
         )
-    kept = uniform_kept_count(mask)
-    return np.nonzero(mask.bits)[1].reshape(gs, kept)
+    kept = mask.bits.sum(axis=1)
+    if not (kept == kept[0]).all():
+        raise GeometryError(f"ragged mask: kept-per-row counts {sorted(set(kept.tolist()))}")
+    return np.nonzero(mask.bits)[1].reshape(gs, int(kept[0]))
 
 
 def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
@@ -68,8 +70,8 @@ def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
     )
 
 
-def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask, fill: int = 0) -> PatchGrid:
-    """Scatter kept sub-patches back to their positions, fill the rest.
+def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
+    """Scatter kept sub-patches back to their positions, zeros elsewhere.
 
     Returns the padded-size patch grid so reconstruction can run per patch;
     crop with image.unpatchify.
@@ -84,12 +86,12 @@ def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask, fill: int = 0) -> PatchGr
             f"{pr * n}x{pc * kept * b}"
         )
     packed = sq.pixels.reshape(pr, gs, b, pc, kept, b, c).transpose(0, 3, 1, 4, 2, 5, 6)
-    sub = np.full((pr, pc, gs, gs, b, b, c), fill, dtype=np.uint8)
+    sub = np.zeros((pr, pc, gs, gs, b, b, c), dtype=np.uint8)
     sub[:, :, np.arange(gs)[:, None], cols] = packed
     patches = sub.transpose(0, 1, 2, 4, 3, 5, 6).reshape(pr * pc, n, n, c)
     return PatchGrid(patches, n, b, pr, pc, sq.orig_height, sq.orig_width)
 
 
-def unsqueeze(sq: SqueezedImage, mask: EraseMask, fill: int = 0) -> Image:
+def unsqueeze(sq: SqueezedImage, mask: EraseMask) -> Image:
     """unsqueeze_grid followed by reassembly and cropping."""
-    return unpatchify(unsqueeze_grid(sq, mask, fill))
+    return unpatchify(unsqueeze_grid(sq, mask))

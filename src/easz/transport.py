@@ -22,6 +22,7 @@ from .errors import TransportError
 from .pipeline import PipelineConfig, StageTimings, compress_bytes, decompress_bytes
 
 FRAME_CAP = 1 << 30  # 1 GiB
+TIMEOUT_S = 30.0  # per-connection socket timeout, on the server and the edge
 STATUS_OK = 0
 STATUS_ERROR = 1
 
@@ -74,13 +75,16 @@ def _unpack_status(body: bytes) -> tuple[int, str, StageTimings]:
     return code, msg, timings
 
 
-class ReconstructionServer:
+class ReconstructionServer(socketserver.ThreadingTCPServer):
     """Threaded TCP server decoding containers and writing rasters.
 
     The checkpoint is loaded once and shared read-only by all connection
-    threads.  A malformed frame produces an error status on that
-    connection; the server keeps serving others.
+    threads.  A malformed frame, or a peer silent for TIMEOUT_S, produces
+    an error status on that connection; the server keeps serving others.
     """
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, port: int, checkpoint: bytes | str | Path | None,
                  out_dir: str | Path, host: str = "127.0.0.1",
@@ -96,27 +100,19 @@ class ReconstructionServer:
             self.model = load_checkpoint(data)
         self._counter = 0
         self._lock = threading.Lock()
-        server_self = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                server_self._handle(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._tcp = Server((host, port), Handler)
         self._thread: threading.Thread | None = None
+        # finish_request handles each connection, so no handler class
+        super().__init__((host, port), None)
 
     @property
     def port(self) -> int:
-        return self._tcp.server_address[1]
+        return self.server_address[1]
 
-    def _handle(self, sock: socket.socket):
+    def finish_request(self, sock: socket.socket, _addr):
         timings = StageTimings()
         t0 = time.perf_counter()
         try:
+            sock.settimeout(TIMEOUT_S)
             frame = frame_read(sock)
             raster = decompress_bytes(frame, self.model, self.codec,
                                       timings=timings)
@@ -134,15 +130,12 @@ class ReconstructionServer:
                 pass
 
     def start(self):
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
-    def serve_forever(self):
-        self._tcp.serve_forever()
-
     def stop(self):
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        self.shutdown()
+        self.server_close()
         if self._thread:
             self._thread.join()
 
@@ -167,7 +160,7 @@ def edge_send(image_path: str | Path, host: str, port: int,
     frame = compress_bytes(raster, cfg, timings)
     t_tx = time.perf_counter()
     try:
-        with socket.create_connection((host, port), timeout=30) as sock:
+        with socket.create_connection((host, port), timeout=TIMEOUT_S) as sock:
             frame_write(sock, frame)
             status = frame_read(sock)
     except OSError as exc:

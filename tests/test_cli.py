@@ -106,6 +106,29 @@ def test_missing_train_data_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_zero_steps_exits_1(tmp_path, capsys):
+    data_dir = tmp_path / "patches"
+    data_dir.mkdir()
+    img = make_image(np.zeros((16, 16, 1), dtype=np.uint8))
+    (data_dir / "p0.pgm").write_bytes(store_raster(img))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(data_dir), "--steps", "0",
+                 "--out", str(ckpt)]) == 1
+    assert "error: --steps" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("missing", ["input", "codec"])
+def test_os_errors_exit_1(raster64, tmp_path, capsys, missing):
+    argv = ["compress", str(raster64), "--out", str(tmp_path / "x.easz")]
+    if missing == "input":
+        argv[1] = str(tmp_path / "nope.ppm")
+    else:
+        argv += ["--codec", "external", "--codec-cmd", "easz-no-such-codec-binary"]
+    assert main(argv) == 1
+    assert "error: [Errno 2]" in capsys.readouterr().err
+
+
 def test_unknown_log_level_exits_1(raster64, monkeypatch, capsys):
     monkeypatch.setenv("EASZ_LOG", "verbose")
     assert main(["eval", str(raster64), str(raster64)]) == 1
@@ -125,6 +148,16 @@ def test_external_decompress_needs_decode_cmd(raster64, tmp_path, capsys):
     assert main(["decompress", str(cont), "--out", str(tmp_path / "b.ppm"),
                  "--codec", "external"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_external_decompress_needs_only_decode_cmd(raster64, tmp_path):
+    cont = tmp_path / "a.easz"
+    assert main(["compress", str(raster64), "--out", str(cont), "--codec",
+                 "external", "--codec-cmd", "cat", "--codec-decode-cmd", "cat"]) == 0
+    back = tmp_path / "b.pgm"
+    assert main(["decompress", str(cont), "--out", str(back), "--codec",
+                 "external", "--codec-decode-cmd", "cat"]) == 0
+    assert load_raster(back.read_bytes()).pixels.shape == (64, 64, 1)
 
 
 @pytest.mark.parametrize("argv", [["decompress", "c.easz", "--out", "o.ppm"],

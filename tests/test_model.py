@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from easz.model import (ModelConfig, TrainSettings, assemble,
                         param_count, patch_to_tokens, reconstruct_grid,
                         save_checkpoint, tokens_to_patch, train)
 from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
+from easz.prng import digest64
 
 TINY = ModelConfig(subpatch_b=2, channels=1, d_model=16, grid_side=4, heads=2,
                    ffn_multiplier=2)
@@ -47,18 +50,6 @@ def test_patch_token_roundtrip():
     tokens = patch_to_tokens(stack, 2)
     assert np.array_equal(tokens, np.stack([patch_to_tokens(p, 2) for p in stack]))
     assert np.array_equal(tokens_to_patch(tokens, 2, 1), stack)
-
-
-def test_embed_additive_zero_table_is_projection(tiny_params):
-    cfg = ModelConfig(subpatch_b=2, channels=1, d_model=16, grid_side=4,
-                      heads=2, ffn_multiplier=2, pos_embed_mode="additive")
-    params = init_params(cfg, seed=1)
-    params["pos_enc"].data[:] = 0.0
-    rng = np.random.default_rng(1)
-    x = Tensor(rand_tokens(rng))
-    out = embed(x, np.arange(16), params, cfg)
-    pure = ad.linear(x, params["proj_in.w"], params["proj_in.b"])
-    assert np.allclose(out.data, pure.data)
 
 
 def test_embed_multiplicative_ones_table_is_projection(tiny_params):
@@ -270,6 +261,14 @@ def test_checkpoint_zero_heads():
     blob = bytearray(save_checkpoint(init_params(TINY, seed=0), TINY))
     blob[13] = 0  # heads
     with pytest.raises(EaszError, match="heads"):
+        load_checkpoint(bytes(blob))
+
+
+def test_checkpoint_unknown_positional_mode():
+    blob = bytearray(save_checkpoint(init_params(TINY, seed=0), TINY))
+    blob[17] = 1  # positional-mode byte
+    blob[-8:] = struct.pack(">Q", digest64(bytes(blob[:-8])))  # re-seal the trailer
+    with pytest.raises(FormatError, match="positional mode"):
         load_checkpoint(bytes(blob))
 
 

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,27 @@ def test_error_status_raises_client_side(tmp_path):
             frame_write(sock, b"garbage")
             status = frame_read(sock)
         assert status[0] == 1
+
+
+def test_silent_peers_time_out(tmp_path, monkeypatch):
+    import easz.transport as tr
+    monkeypatch.setattr(tr, "TIMEOUT_S", 0.5)
+    with ReconstructionServer(0, None, tmp_path / "out") as srv:
+        base = threading.active_count()
+        peers = [socket.create_connection(("127.0.0.1", srv.port), timeout=10)
+                 for _ in range(20)]
+        try:
+            for sock in peers:  # connected, sent nothing
+                code, message, _ = _unpack_status(frame_read(sock))
+                assert (code, message) == (1, "timed out")
+            # handler threads end while the silent peers are still connected
+            deadline = time.monotonic() + 10
+            while threading.active_count() > base and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert threading.active_count() == base
+        finally:
+            for sock in peers:
+                sock.close()
 
 
 def test_connection_refused(tmp_path):
