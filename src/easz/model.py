@@ -224,21 +224,28 @@ def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tenso
 
 def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
                    cfg: ModelConfig) -> Tensor:
-    """Full model on token input: embed kept, encode, assemble, decode."""
+    """Full model on token input: embed kept, encode, assemble, decode.
+
+    With every position erased the encoder has nothing to attend over, so
+    the decoder sees the all-zero grid plus pos_dec.
+    """
     kept_idx = np.flatnonzero(mask.bits.reshape(-1))
-    kept = ad.gather_rows(tokens, kept_idx)
-    emb = embed(kept, kept_idx, params, cfg)
-    feats = encode(emb, params, cfg)
-    full = assemble(feats, mask)
+    if kept_idx.size == 0:
+        full = Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model)))
+    else:
+        kept = ad.gather_rows(tokens, kept_idx)
+        emb = embed(kept, kept_idx, params, cfg)
+        feats = encode(emb, params, cfg)
+        full = assemble(feats, mask)
     return decode(full, params, cfg)
 
 
 # Patches per forward_tokens call at inference, from perfbench server_decode
-# (two connections, 128x128 RGB, default_config, 2-vCPU host).  Slices of
-# 1 / 2 / 4 / 8 / 16 patches: median latency 234-287 / 224-243 / 212-220 /
-# 226-251 / 243-254 ms, server peak RSS 70-71 / 74-78 / 88 / 91 / 109-113 MB.
-# A per-patch decode on float32 weights read 288-321 ms and 67-69 MB; 2 is
-# the fastest slice that keeps peak RSS within 20% of that.
+# (two connections, 128x128 RGB, default_config, 2-vCPU host, OpenBLAS on one
+# thread as the server runs it).  Slices of 1 / 2 / 4 patches: median latency
+# 159 / 128 / 121 ms, 12.0 / 14.9 / 15.4 requests/s, server peak RSS 70.6 /
+# 74.5 / 82.2 MB (3 / 8 / 8 runs).  4 had the higher throughput in only 5 of
+# 8 paired runs, for 8 MB more, so the slice stays at 2.
 _SLICE = 2
 
 

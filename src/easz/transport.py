@@ -9,6 +9,7 @@ of server-side stage timings in milliseconds.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import socket
 import socketserver
@@ -25,6 +26,10 @@ FRAME_CAP = 1 << 30  # 1 GiB
 TIMEOUT_S = 30.0  # per-connection socket timeout, on the server and the edge
 STATUS_OK = 0
 STATUS_ERROR = 1
+# Thread-count functions of OpenBLAS builds, in order of preference: numpy's
+# wheels (scipy-openblas, 64-bit ints), other 64-bit builds, plain builds.
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
 
 
 def frame_write(stream, body: bytes):
@@ -75,12 +80,49 @@ def _unpack_status(body: bytes) -> tuple[int, str, StageTimings]:
     return code, msg, timings
 
 
+def _mapped_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    return sorted({f[5].strip() for f in fields
+                   if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]})
+
+
+def _openblas_threads(verb: str) -> list:
+    """The "set" or "get" thread-count function of each mapped OpenBLAS
+    that exports one."""
+    calls = []
+    for path in _mapped_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # the file was removed or replaced since it was mapped
+            continue
+        fn = next((getattr(lib, name.format(verb)) for name in _OPENBLAS_THREADS
+                   if hasattr(lib, name.format(verb))), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+            calls.append(fn)
+    return calls
+
+
+def _one_blas_thread():
+    """Run OpenBLAS on one thread, so that concurrent requests each get a
+    core instead of contending for one GEMM thread pool."""
+    for set_threads in _openblas_threads("set"):
+        set_threads(1)
+
+
 class ReconstructionServer(socketserver.ThreadingTCPServer):
     """Threaded TCP server decoding containers and writing rasters.
 
     The checkpoint is loaded once and shared read-only by all connection
     threads.  A malformed frame, or a peer silent for TIMEOUT_S, produces
     an error status on that connection; the server keeps serving others.
+    Once a checkpoint has loaded, OpenBLAS runs on one thread in this
+    process: the unit of parallelism is the request, not the GEMM.
     """
 
     allow_reuse_address = True
@@ -98,6 +140,7 @@ class ReconstructionServer(socketserver.ThreadingTCPServer):
 
             data = checkpoint if isinstance(checkpoint, bytes) else Path(checkpoint).read_bytes()
             self.model = load_checkpoint(data)
+            _one_blas_thread()
         self._counter = 0
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -134,10 +177,10 @@ class ReconstructionServer(socketserver.ThreadingTCPServer):
         self._thread.start()
 
     def stop(self):
-        self.shutdown()
-        self.server_close()
-        if self._thread:
+        if self._thread is not None:  # shutdown() waits for a serve_forever loop
+            self.shutdown()
             self._thread.join()
+        self.server_close()
 
     def __enter__(self):
         self.start()

@@ -3,6 +3,7 @@ import pytest
 
 from easz.cli import build_parser, main
 from easz.image import load_raster, make_image, store_raster
+from easz.model import ModelConfig, init_params, save_checkpoint
 
 
 @pytest.fixture()
@@ -96,6 +97,20 @@ def test_train_and_decompress_with_checkpoint(tmp_path, capsys):
                  "--out", str(back)]) == 0
     restored = load_raster(back.read_bytes())
     assert restored.pixels.shape == img.pixels.shape
+
+
+def test_decompress_all_erased_with_checkpoint(tmp_path, raster64):
+    cfg = ModelConfig(subpatch_b=4, channels=1, d_model=16, grid_side=8,
+                      heads=2, ffn_multiplier=2)
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(save_checkpoint(init_params(cfg, seed=0), cfg))
+    cont = tmp_path / "out.easz"
+    back = tmp_path / "back.pgm"
+    assert main(["compress", str(raster64), "--T", "8", "--delta", "0", "--Delta", "0",
+                 "--out", str(cont)]) == 0
+    assert main(["decompress", str(cont), "--checkpoint", str(ckpt),
+                 "--out", str(back)]) == 0
+    assert load_raster(back.read_bytes()).pixels.shape == (64, 64, 1)
 
 
 def test_missing_train_data_exits_1(tmp_path, capsys):

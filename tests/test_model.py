@@ -7,10 +7,10 @@ from easz import autodiff as ad
 from easz import model as easz_model
 from easz.autodiff import Tensor
 from easz.errors import DimensionError, EaszError, FormatError, ParameterError
-from easz.image import make_image, patchify, store_raster
+from easz.image import load_raster, make_image, patchify, store_raster
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask)
-from easz.model import (ModelConfig, TrainSettings, assemble,
+from easz.model import (ModelConfig, TrainSettings, assemble, decode,
                         decode_and_reconstruct, embed, encode, eval_loss,
                         forward_tokens, init_params, load_checkpoint, loss,
                         param_count, patch_to_tokens, reconstruct_grid,
@@ -156,6 +156,20 @@ def test_reconstruct_in_range(tiny_params):
     for t in (1, 2):  # any feasible erase count works with one model
         out = decode_and_reconstruct(patch, tiny_mask(seed=t, t=t), tiny_params, TINY)
         assert out.dtype == np.uint8 and out.shape == patch.shape
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_all_erased_container_decodes_with_model(tiny_params, mode):
+    # T equal to the grid side with delta = Delta = 0 erases every sub-patch
+    rng = np.random.default_rng(29)
+    raster = store_raster(make_image(rng.integers(0, 256, (8, 16), dtype=np.uint8)))
+    frame = compress_bytes(raster, PipelineConfig(n=8, b=2, erased_per_row=4, intra_row_delta=0,
+                                                  inter_row_delta=0, mask_mode=mode))
+    out = load_raster(decompress_bytes(frame, (tiny_params, TINY))).pixels
+    # no pixel reaches the model: both patches are the decoder's output for pos_dec alone
+    zeros = Tensor(np.zeros((TINY.num_positions, TINY.d_model)))
+    want = tokens_to_patch(decode(zeros, tiny_params, TINY).data, 2, 1)
+    assert np.array_equal(out[:, :8], want) and np.array_equal(out[:, 8:], want)
 
 
 def test_inference_records_no_graph(tiny_params, monkeypatch):

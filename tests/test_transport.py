@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import easz.transport as tr
 from easz.errors import TransportError
 from easz.image import make_image, store_raster
 from easz.model import ModelConfig, init_params, save_checkpoint
@@ -181,3 +182,32 @@ def test_stage_timings_merge():
 def test_malformed_status_body(body):
     with pytest.raises(TransportError):
         _unpack_status(body)
+
+
+def test_stop_before_start_returns(tmp_path):
+    srv = ReconstructionServer(0, None, tmp_path / "out")
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+
+
+def test_server_with_model_runs_blas_on_one_thread(tmp_path):
+    gets = tr._openblas_threads("get")
+    if not gets:
+        pytest.skip("no OpenBLAS mapped in this process")
+    for set_threads in tr._openblas_threads("set"):
+        set_threads(2)  # undo any pin that an earlier server left in this process
+    ReconstructionServer(0, model_blob(), tmp_path / "out").stop()
+    assert [get() for get in gets] == [1] * len(gets)
+
+
+def test_blas_pin_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(tr, "_mapped_openblas", lambda: [])
+    assert tr._openblas_threads("set") == []
+    tr._one_blas_thread()
+
+
+def test_server_without_model_leaves_blas_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(tr, "_one_blas_thread", lambda: pytest.fail("BLAS threads set"))
+    ReconstructionServer(0, None, tmp_path / "out").stop()
