@@ -134,17 +134,6 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, w), bias)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-    edges = []
-    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * data.ndim
-        idx[axis] = slice(lo, hi)
-        edges.append((t, lambda g, idx=tuple(idx): g[idx]))
-    return _op(data, *edges)
-
-
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis."""
     idx = np.asarray(indices)

@@ -13,31 +13,32 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .container import ExternalCodec, bpp
-from .errors import EaszError
-from .image import load_raster, store_raster
+from .errors import EaszError, ParameterError
+from .image import DEFAULT_B, load_raster, padded_size, store_raster
 from .metrics import ATTN_COST_NOTE, QualityReport, attn_cost, mse, psnr, saving_ratio, ssim
-from .pipeline import (STAGES, PipelineConfig, StageTimings, compress_bytes,
-                       decompress_bytes)
+from .pipeline import (HOST, PORT, STAGES, PipelineConfig, StageTimings,
+                       compress_bytes, decompress_bytes)
+
+
+def _from_flags(cls, args, **fixed):
+    """cls(**fixed) plus each flag whose dest is a field of cls; flags left out
+    are absent from args (argparse.SUPPRESS), so cls's own defaults apply."""
+    names = {f.name for f in fields(cls)} - fixed.keys()
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
 
 
 def _codec(args) -> ExternalCodec | None:
-    if args.codec != "external":
-        return None
-    # "" not None: shlex.split(None) would read stdin
-    return ExternalCodec(args.codec_cmd or "", args.codec_decode_cmd or "", args.quality)
+    return _from_flags(ExternalCodec, args) if args.codec == "external" else None
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        n=args.n, b=args.b, erased_per_row=args.T,
-        intra_row_delta=args.delta, inter_row_delta=args.Delta,
-        seed=args.seed, codec=_codec(args),
-    )
+    return _from_flags(PipelineConfig, args, codec=_codec(args))
 
 
 def _load_model(path: str | None):
@@ -70,18 +71,15 @@ def cmd_decompress(args) -> int:
 def cmd_train(args) -> int:
     from .model import ModelConfig, TrainSettings, save_checkpoint, train
 
-    if args.steps < 1:
-        raise EaszError(f"--steps must be >= 1, got {args.steps}")
-    patches = _load_patch_dir(Path(args.data), args.n)
-    cfg = ModelConfig(
-        subpatch_b=args.b, channels=patches.shape[3], d_model=args.d_model,
-        grid_side=args.n // args.b, heads=args.heads,
-    )
-    settings = TrainSettings(
-        learning_rate=args.lr, erase_ratio=args.erase_ratio,
-        batch_size=args.batch, weight_decay=args.wd, steps=args.steps,
-        seed=args.seed,
-    )
+    settings = _from_flags(TrainSettings, args)
+    if settings.steps < 1:
+        raise EaszError(f"--steps must be >= 1, got {settings.steps}")
+    patches = _load_patch_dir(Path(args.data))
+    n = patches.shape[1]
+    if args.b < 1 or n % args.b:
+        raise ParameterError(f"--b must be >= 1 and divide the patch size {n}, got {args.b}")
+    cfg = _from_flags(ModelConfig, args, subpatch_b=args.b, channels=patches.shape[3],
+                      grid_side=n // args.b)
     params, trace = train(patches, cfg, settings)
     Path(args.out).write_bytes(save_checkpoint(params, cfg))
     print(f"steps={len(trace)} initial_loss={trace[0]:.6f} final_loss={trace[-1]:.6f}")
@@ -89,16 +87,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_patch_dir(root: Path, n: int) -> np.ndarray:
+def _load_patch_dir(root: Path) -> np.ndarray:
+    """Stack the .pgm/.ppm patches under root; the first fixes the shape."""
     patches = []
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".pgm", ".ppm"):
             continue
-        img = load_raster(path.read_bytes())
-        if (img.height, img.width) != (n, n):
-            raise EaszError(f"{path.name}: patch must be {n}x{n}, "
-                            f"got {img.height}x{img.width}")
-        patches.append(img.pixels)
+        px = load_raster(path.read_bytes()).pixels
+        h, w, c = px.shape
+        want = patches[0].shape if patches else (h, h, c)
+        if px.shape != want:
+            raise EaszError(f"{path.name}: patch is {h}x{w}x{c}, "
+                            f"want {'x'.join(map(str, want))}")
+        patches.append(px)
     if not patches:
         raise EaszError(f"no .pgm/.ppm patches under {root}")
     return np.stack(patches)
@@ -107,28 +108,30 @@ def _load_patch_dir(root: Path, n: int) -> np.ndarray:
 def cmd_eval(args) -> int:
     a = load_raster(Path(args.reference).read_bytes())
     b = load_raster(Path(args.candidate).read_bytes())
-    rate = 0.0
-    save = 0.0
+    rate = save = 0.0
     if args.container:
         size = Path(args.container).stat().st_size
         rate = bpp(size, a.height, a.width)
-        baseline = len(store_raster(a))
-        save = saving_ratio(baseline, size)
+        save = saving_ratio(len(store_raster(a)), size)
     report = QualityReport(mse(a, b), psnr(a, b), ssim(a, b), rate, save)
     sys.stdout.write(report.as_lines())
     return 0
 
 
 def cmd_serve(args) -> int:
-    from .transport import ReconstructionServer
+    from .transport import ReconstructionServer, one_blas_thread
 
     server = ReconstructionServer(args.port, args.checkpoint, args.out_dir,
                                   host=args.host, codec=_codec(args))
+    if args.checkpoint is not None:
+        one_blas_thread()  # concurrent requests decode in parallel
     print(f"serving on {args.host}:{server.port}, output dir {args.out_dir}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()
     return 0
 
 
@@ -157,8 +160,6 @@ def cmd_bench(args) -> int:
     writer.writerow(["T", "container_bytes", "bpp", "psnr", "ssim",
                      "saving_ratio"] + [f"{s}_ms" for s in STAGES])
     for t in t_values:
-        from dataclasses import replace
-
         cfg = replace(cfg0, erased_per_row=t)
         timings = StageTimings()
         start = time.perf_counter()
@@ -175,9 +176,8 @@ def cmd_bench(args) -> int:
         ] + [f"{timings.stages.get(s, 0.0):.3f}" for s in STAGES]
         writer.writerow(row)
     if args.attn_cost:
-        h = (img.height + args.n - 1) // args.n * args.n
-        w = (img.width + args.n - 1) // args.n * args.n
-        pixel, two_stage, factor = attn_cost(h, w, args.n, args.b)
+        h, w = padded_size(img.height, img.width, cfg0.n)
+        pixel, two_stage, factor = attn_cost(h, w, cfg0.n, cfg0.b)
         out.write(f"# attn_cost pixel_token={pixel} two_stage={two_stage} "
                   f"reduction={factor:.1f}\n")
     if args.out:
@@ -194,24 +194,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Containers describe their own geometry and mask, so the mask flags go
-    # only to subcommands that compress.
-    mask = argparse.ArgumentParser(add_help=False)
-    mask.add_argument("--n", type=int, default=32, help="patch size in pixels")
-    mask.add_argument("--b", type=int, default=4, help="sub-patch size in pixels")
-    mask.add_argument("--T", type=int, default=2,
+    # only to subcommands that compress.  A flag whose dest is a field of a
+    # library config defaults to that field (see _from_flags).
+    mask = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    mask.add_argument("--n", type=int, help="patch size in pixels")
+    mask.add_argument("--b", type=int, help="sub-patch size in pixels")
+    mask.add_argument("--T", type=int, dest="erased_per_row",
                       help="erased sub-patches per grid row (0 = keep everything)")
-    mask.add_argument("--delta", type=int, default=1,
+    mask.add_argument("--delta", type=int, dest="intra_row_delta",
                       help="min extra intra-row distance between erased columns")
-    mask.add_argument("--Delta", type=int, default=1,
+    mask.add_argument("--Delta", type=int, dest="inter_row_delta",
                       help="min extra distance to the previous row's erased columns")
-    mask.add_argument("--seed", type=int, default=0)
+    mask.add_argument("--seed", type=int)
     codec = argparse.ArgumentParser(add_help=False)
     codec.add_argument("--codec", choices=["store", "external"], default="store")
-    codec.add_argument("--codec-cmd", default=None,
+    # "" not None: shlex.split(None) would read stdin
+    codec.add_argument("--codec-cmd", dest="encode_cmd", default="",
                        help="encode command template, e.g. 'cjpeg -quality {quality}'")
-    codec.add_argument("--codec-decode-cmd", default=None, help="decode command template")
-    codec.add_argument("--quality", type=int, default=85,
+    codec.add_argument("--codec-decode-cmd", dest="decode_cmd", default="",
+                       help="decode command template")
+    codec.add_argument("--quality", type=int, default=argparse.SUPPRESS,
                        help="substituted for {quality} in codec templates")
+    address = argparse.ArgumentParser(add_help=False)
+    address.add_argument("--host", default=HOST)
+    address.add_argument("--port", type=int, default=PORT)
 
     p = sub.add_parser("compress", help="raster -> .easz container", parents=[mask, codec])
     p.add_argument("image")
@@ -225,18 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("train", help="train the reconstruction model on patches")
+    p = sub.add_parser("train", help="train the reconstruction model on patches",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="directory of n x n .pgm/.ppm patches")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--b", type=int, default=2)
+    p.add_argument("--b", type=int, default=DEFAULT_B, help="sub-patch size; divides n")
     p.add_argument("--d-model", type=int, default=32)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=2.8e-4)
-    p.add_argument("--wd", type=float, default=0.05)
-    p.add_argument("--erase-ratio", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--wd", type=float, dest="weight_decay")
+    p.add_argument("--erase-ratio", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -247,18 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="container file for bpp/saving_ratio columns")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("serve", help="run the reconstruction server", parents=[codec])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9464)
+    p = sub.add_parser("serve", help="run the reconstruction server",
+                       parents=[address, codec])
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("send", help="compress a raster and ship it to a server",
-                       parents=[mask, codec])
+                       parents=[mask, address, codec])
     p.add_argument("image")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9464)
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser(

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EaszError, FormatError, ParameterError
-from .image import Image, load_raster, store_raster
+from .image import Image, load_raster, padded_size, store_raster
 from .mask import (EraseMask, SamplerParams, generate_row_mask, pack_mask,
                    unpack_mask)
-from .squeeze import SqueezedImage
+from .squeeze import SqueezedImage, squeezed_shape
 
 MAGIC = b"EASZ"
 VERSION = 1
@@ -38,6 +38,15 @@ MASK_EXPLICIT = 0
 MASK_SEED = 1
 
 _HEADER = struct.Struct(">4sBIIBHBBBQHHB")
+MAX_PIXELS = 1 << 24  # largest padded image (4096 x 4096) a container may describe
+
+
+def _patch_counts(height: int, width: int, n: int, error: type[EaszError]):
+    """(rows, cols) of n x n patches; encode and decode refuse over MAX_PIXELS alike."""
+    pad_h, pad_w = padded_size(height, width, n)
+    if pad_h * pad_w > MAX_PIXELS:
+        raise error(f"padded image {pad_h}x{pad_w} exceeds {MAX_PIXELS} pixels")
+    return pad_h // n, pad_w // n
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,7 @@ def encode_container(
     mask_mode: int = MASK_EXPLICIT,
 ) -> bytes:
     """Serialize a squeezed image plus its mask (or regeneration seed)."""
+    _patch_counts(sq.orig_height, sq.orig_width, sq.patch_size_n, ParameterError)
     gs = sq.patch_size_n // sq.subpatch_size_b
     if (mask.rows, mask.cols) != (gs, gs):
         raise FormatError(f"mask {mask.rows}x{mask.cols} vs sub-grid {gs}x{gs}")
@@ -122,6 +132,7 @@ def decode_container(
         raise FormatError(f"bad image shape {orig_h}x{orig_w}x{channels}")
     if n == 0 or b == 0 or n % b != 0:
         raise FormatError(f"inconsistent geometry n={n}, b={b}")
+    patch_rows, patch_cols = _patch_counts(orig_h, orig_w, n, FormatError)
     gs = n // b
     if mask_mode == MASK_EXPLICIT:
         mask_len = (gs * gs + 7) // 8
@@ -135,40 +146,30 @@ def decode_container(
     if len(data) < off + 8:
         raise FormatError("container truncated before payload length")
     (payload_len,) = struct.unpack_from(">Q", data, off)
-    payload = data[off + 8:]
-    if len(payload) != payload_len:
-        raise FormatError(
-            f"payload length mismatch: header says {payload_len}, "
-            f"stream has {len(payload)}"
-        )
-    pad_h = (orig_h + n - 1) // n * n
-    pad_w = (orig_w + n - 1) // n * n
-    patch_rows, patch_cols = pad_h // n, pad_w // n
-    sq_h, sq_w = pad_h, patch_cols * (gs - t) * b
+    off += 8
+    if len(data) - off != payload_len:
+        raise FormatError(f"payload length mismatch: header says {payload_len}, "
+                          f"stream has {len(data) - off}")
+    sq_h, sq_w = squeezed_shape(patch_rows, patch_cols, n, b, t)
     if codec_id == CODEC_STORE:
         want = sq_h * sq_w * channels
         if payload_len != want:
             raise FormatError(f"store payload is {payload_len} bytes, want {want}")
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(sq_h, sq_w, channels).copy()
+        pixels = np.frombuffer(data, np.uint8, want, off).reshape(sq_h, sq_w, channels).copy()
     elif codec_id == CODEC_EXTERNAL:
         if codec is None:
             raise ParameterError("container uses an external codec; none configured")
-        raster = load_raster(codec.decode(payload))
+        raster = load_raster(codec.decode(data[off:]))
         if (raster.height, raster.width, raster.channels) != (sq_h, sq_w, channels):
-            raise FormatError(
-                f"external codec returned {raster.height}x{raster.width}x"
-                f"{raster.channels}, want {sq_h}x{sq_w}x{channels}"
-            )
+            raise FormatError(f"external codec returned {raster.height}x{raster.width}x"
+                              f"{raster.channels}, want {sq_h}x{sq_w}x{channels}")
         pixels = raster.pixels
     else:
         raise FormatError(f"unknown codec id {codec_id}")
     if mask_mode == MASK_EXPLICIT:
-        mask = unpack_mask(data[_HEADER.size:off], gs, gs)
+        mask = unpack_mask(data[_HEADER.size:_HEADER.size + mask_len], gs, gs)
     else:
-        mask = generate_row_mask(SamplerParams(
-            rows=gs, cols=gs, samples_per_row=t,
-            intra_row_delta=delta, inter_row_delta=big_delta, seed=seed,
-        ))
+        mask = generate_row_mask(SamplerParams(gs, gs, t, delta, big_delta, seed=seed))
     sq = SqueezedImage(pixels, n, b, t, patch_rows, patch_cols, orig_h, orig_w)
     return sq, mask, codec_id
 

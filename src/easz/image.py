@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DimensionError, GeometryError, ParameterError, ParseError
 
+DEFAULT_N, DEFAULT_B = 32, 4  # default (n, b) of PipelineConfig, the CLI and the model
+
 
 @dataclass(frozen=True)
 class Image:
@@ -140,6 +142,11 @@ def store_raster(img: Image) -> bytes:
     return header + img.pixels.tobytes()
 
 
+def padded_size(height: int, width: int, n: int) -> tuple[int, int]:
+    """(height, width) rounded up to multiples of the patch size n."""
+    return -(-height // n) * n, -(-width // n) * n
+
+
 def patchify(img: Image, n: int, b: int) -> PatchGrid:
     """Split into non-overlapping n x n patches of b x b sub-patches.
 
@@ -150,8 +157,7 @@ def patchify(img: Image, n: int, b: int) -> PatchGrid:
     if n % b != 0:
         raise ParameterError(f"patch size {n} not divisible by sub-patch size {b}")
     h, w = img.height, img.width
-    ph = (h + n - 1) // n * n
-    pw = (w + n - 1) // n * n
+    ph, pw = padded_size(h, w, n)
     px = img.pixels
     if (ph, pw) != (h, w):
         px = np.pad(px, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")

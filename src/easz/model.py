@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .image import PatchGrid
+from .image import DEFAULT_B, DEFAULT_N, PatchGrid
 from .mask import EraseMask, SamplerParams, generate_random_mask, generate_row_mask
 from .prng import digest64
 
@@ -59,9 +59,10 @@ class ModelConfig:
         return self.grid_side * self.grid_side
 
 
-# Default production configuration; tests use a d_model=32 variant.
 def default_config() -> ModelConfig:
-    return ModelConfig(subpatch_b=4, channels=3, d_model=128, grid_side=8)
+    """The production model, for RGB at the default (n, b)."""
+    return ModelConfig(subpatch_b=DEFAULT_B, channels=3, d_model=128,
+                       grid_side=DEFAULT_N // DEFAULT_B)
 
 
 def _block_param_shapes(cfg: ModelConfig, prefix: str):
@@ -327,11 +328,9 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
     """
     if dataset.ndim != 4:
         raise DimensionError(f"dataset must be (N, n, n, C), got {dataset.shape}")
-    n = cfg.grid_side * cfg.subpatch_b
-    if dataset.shape[1] != n or dataset.shape[2] != n or dataset.shape[3] != cfg.channels:
-        raise DimensionError(
-            f"dataset patches {dataset.shape[1:]}, config wants ({n}, {n}, {cfg.channels})"
-        )
+    want = (cfg.grid_side * cfg.subpatch_b,) * 2 + (cfg.channels,)
+    if dataset.shape[1:] != want:
+        raise DimensionError(f"dataset patches {dataset.shape[1:]}, config wants {want}")
     rng = np.random.default_rng(settings.seed)
     if params is None:
         params = init_params(cfg, seed=settings.seed)

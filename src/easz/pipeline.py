@@ -1,8 +1,8 @@
 """End-to-end compress / decompress paths shared by the CLI and transport.
 
 compress: raster -> patchify -> mask -> squeeze -> container bytes.
-decompress: container bytes -> mask -> unsqueeze -> (optional) per-patch
-reconstruction -> raster.  Stage wall times are collected along the way.
+decompress: container bytes -> mask -> unsqueeze -> (optional) model
+reconstruction, a few patches per forward -> raster.  Stages are timed.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 from .container import (MASK_EXPLICIT, ExternalCodec, decode_container,
                         encode_container)
-from .image import load_raster, patchify, store_raster, unpatchify
+from .image import DEFAULT_B, DEFAULT_N, load_raster, patchify, store_raster, unpatchify
 from .mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
 from .squeeze import squeeze, unsqueeze_grid
 
+HOST, PORT = "127.0.0.1", 9464  # of `easz serve`/`send`; the CLI reads it without transport
 STAGES = ("load", "erase_squeeze", "codec_encode", "transmit",
           "codec_decode", "reconstruct")
 
@@ -48,8 +49,8 @@ class _Clock:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    n: int = 32
-    b: int = 4
+    n: int = DEFAULT_N
+    b: int = DEFAULT_B
     erased_per_row: int = 2  # T; 0 disables erasing
     intra_row_delta: int = 1
     inter_row_delta: int = 1

@@ -54,20 +54,23 @@ def _kept_columns(mask: EraseMask, gs: int) -> np.ndarray:
     return np.nonzero(mask.bits)[1].reshape(gs, int(kept[0]))
 
 
+def squeezed_shape(patch_rows: int, patch_cols: int, n: int, b: int, t: int) -> tuple[int, int]:
+    """(height, width) of the squeezed raster: each patch keeps n // b - t columns."""
+    return patch_rows * n, patch_cols * (n // b - t) * b
+
+
 def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
     """Drop erased sub-patches and compact each sub-patch row leftward."""
     n, b, c = grid.patch_size_n, grid.subpatch_size_b, grid.channels
     gs, pr, pc = grid.subgrid_side, grid.patch_rows, grid.patch_cols
     cols = _kept_columns(mask, gs)
-    kept = cols.shape[1]
+    t = gs - cols.shape[1]
     # axes: patch row, patch col, sub-patch row, sub-patch col, pixel row,
     # pixel col, channel
     sub = grid.patches.reshape(pr, pc, gs, b, gs, b, c).transpose(0, 1, 2, 4, 3, 5, 6)
     packed = sub[:, :, np.arange(gs)[:, None], cols]
-    pixels = packed.transpose(0, 2, 4, 1, 3, 5, 6).reshape(pr * n, pc * kept * b, c)
-    return SqueezedImage(
-        pixels, n, b, gs - kept, pr, pc, grid.orig_height, grid.orig_width,
-    )
+    pixels = packed.transpose(0, 2, 4, 1, 3, 5, 6).reshape(*squeezed_shape(pr, pc, n, b, t), c)
+    return SqueezedImage(pixels, n, b, t, pr, pc, grid.orig_height, grid.orig_width)
 
 
 def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
@@ -80,11 +83,10 @@ def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
     gs, pr, pc = n // b, sq.patch_rows, sq.patch_cols
     cols = _kept_columns(mask, gs)
     kept = cols.shape[1]
-    if (sq.height, sq.width) != (pr * n, pc * kept * b):
-        raise GeometryError(
-            f"squeezed raster {sq.height}x{sq.width} does not match geometry "
-            f"{pr * n}x{pc * kept * b}"
-        )
+    want = squeezed_shape(pr, pc, n, b, gs - kept)
+    if (sq.height, sq.width) != want:
+        raise GeometryError(f"squeezed raster {sq.height}x{sq.width} does not match "
+                            f"geometry {want[0]}x{want[1]}")
     packed = sq.pixels.reshape(pr, gs, b, pc, kept, b, c).transpose(0, 3, 1, 4, 2, 5, 6)
     sub = np.zeros((pr, pc, gs, gs, b, b, c), dtype=np.uint8)
     sub[:, :, np.arange(gs)[:, None], cols] = packed

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .container import ExternalCodec
 from .errors import TransportError
-from .pipeline import PipelineConfig, StageTimings, compress_bytes, decompress_bytes
+from .pipeline import HOST, PipelineConfig, StageTimings, compress_bytes, decompress_bytes
 
 FRAME_CAP = 1 << 30  # 1 GiB
 TIMEOUT_S = 30.0  # per-connection socket timeout, on the server and the edge
@@ -108,9 +108,9 @@ def _openblas_threads(verb: str) -> list:
     return calls
 
 
-def _one_blas_thread():
-    """Run OpenBLAS on one thread, so that concurrent requests each get a
-    core instead of contending for one GEMM thread pool."""
+def one_blas_thread():
+    """Run OpenBLAS on one thread for good, so that concurrent requests each
+    get a core instead of contending for one GEMM pool (`easz serve`)."""
     for set_threads in _openblas_threads("set"):
         set_threads(1)
 
@@ -121,15 +121,15 @@ class ReconstructionServer(socketserver.ThreadingTCPServer):
     The checkpoint is loaded once and shared read-only by all connection
     threads.  A malformed frame, or a peer silent for TIMEOUT_S, produces
     an error status on that connection; the server keeps serving others.
-    Once a checkpoint has loaded, OpenBLAS runs on one thread in this
-    process: the unit of parallelism is the request, not the GEMM.
+    It leaves BLAS threading alone; `easz serve` calls one_blas_thread, so
+    that its unit of parallelism is the request, not the GEMM.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, port: int, checkpoint: bytes | str | Path | None,
-                 out_dir: str | Path, host: str = "127.0.0.1",
+                 out_dir: str | Path, host: str = HOST,
                  codec: ExternalCodec | None = None):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,7 +140,6 @@ class ReconstructionServer(socketserver.ThreadingTCPServer):
 
             data = checkpoint if isinstance(checkpoint, bytes) else Path(checkpoint).read_bytes()
             self.model = load_checkpoint(data)
-            _one_blas_thread()
         self._counter = 0
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None

