@@ -130,8 +130,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """x @ w + bias with bias broadcast over leading dims."""
-    return add(matmul(x, w), bias)
+    """x @ w + bias with bias broadcast over leading dims.
+
+    The bias is added into the fresh product in place, since no VJP reads
+    the product.
+    """
+    y = matmul(x, w)
+    y.data += bias.data
+    return _op(y.data, (y, lambda g: g), (bias, lambda g: g))
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:

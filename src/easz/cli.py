@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ExternalCodec, bpp
+from .container import ExternalCodec, bpp, image_size
 from .errors import EaszError, ParameterError
 from .image import DEFAULT_B, load_raster, padded_size, store_raster
 from .metrics import ATTN_COST_NOTE, QualityReport, attn_cost, mse, psnr, saving_ratio, ssim
@@ -53,9 +53,8 @@ def cmd_compress(args) -> int:
     cfg = _pipeline_config(args)
     frame = compress_bytes(Path(args.image).read_bytes(), cfg)
     Path(args.out).write_bytes(frame)
-    img = load_raster(Path(args.image).read_bytes())
     print(f"wrote {args.out}: {len(frame)} bytes, "
-          f"bpp={bpp(len(frame), img.height, img.width):.4f}")
+          f"bpp={bpp(len(frame), *image_size(frame)):.4f}")
     return 0
 
 

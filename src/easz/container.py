@@ -174,6 +174,13 @@ def decode_container(
     return sq, mask, codec_id
 
 
+def image_size(frame: bytes) -> tuple[int, int]:
+    """(height, width) of the original image, read from a container's header."""
+    if len(frame) < _HEADER.size:
+        raise FormatError("container truncated before header end")
+    return _HEADER.unpack_from(frame, 0)[2:4]
+
+
 def bpp(container_bytes: int, orig_h: int, orig_w: int) -> float:
     """Bits per pixel of the original image."""
     if orig_h <= 0 or orig_w <= 0:

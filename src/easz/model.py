@@ -128,35 +128,41 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
-def _attention(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig) -> Tensor:
-    """Multi-head self-attention over the second-to-last axis."""
+def _attention(q_in: Tensor, x: Tensor, p: dict[str, Tensor], prefix: str,
+               cfg: ModelConfig) -> Tensor:
+    """Multi-head attention of the rows of q_in over the rows of x, along the
+    second-to-last axis; self-attention when q_in is x."""
     d, h = cfg.d_model, cfg.heads
     dh = d // h
     lead = x.shape[:-2]
-    m = x.shape[-2]
-    q = ad.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    q = ad.linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     k = ad.matmul(x, p[f"{prefix}.wk"])
     v = ad.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
 
     def split(t):  # (..., m, d) -> (..., h, m, dh)
-        t = ad.reshape(t, lead + (m, h, dh))
-        perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-        return ad.transpose(t, perm)
+        return ad.transpose(ad.reshape(t, lead + (t.shape[-2], h, dh)), perm)
 
     q, k, v = split(q), split(k), split(v)
     kt = ad.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
     scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
     attn = ad.softmax_lastdim(scores)
-    ctx = ad.matmul(attn, v)  # (..., h, m, dh)
-    perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    ctx = ad.transpose(ctx, perm)  # (..., m, h, dh)
-    ctx = ad.reshape(ctx, lead + (m, d))
+    ctx = ad.matmul(attn, v)  # (..., h, mq, dh)
+    ctx = ad.transpose(ctx, perm)  # (..., mq, h, dh)
+    ctx = ad.reshape(ctx, lead + (q_in.shape[-2], d))
     return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig) -> Tensor:
+def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig,
+           rows: np.ndarray | None = None) -> Tensor:
+    """One transformer block; with rows given, only those positions come
+    out: every position still gives keys and values, but the queries and
+    everything after attention run on rows alone."""
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    x = ad.add(x, _attention(h, p, f"{prefix}.attn", cfg))
+    q_in = h
+    if rows is not None:
+        x, q_in = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
+    x = ad.add(x, _attention(q_in, h, p, f"{prefix}.attn", cfg))
     h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     h = ad.linear(h, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"])
     h = ad.gelu(h)
@@ -173,13 +179,17 @@ def patch_to_tokens(patch: np.ndarray, b: int) -> np.ndarray:
     return sub.reshape(*lead, gs * gs, b * b * c).astype(np.float64) / 255.0
 
 
+def _to_uint8(values: np.ndarray) -> np.ndarray:
+    """Model values in [0, 1] to pixels: scaled, rounded, clamped."""
+    return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
+
+
 def tokens_to_patch(tokens: np.ndarray, b: int, channels: int) -> np.ndarray:
     """Inverse of patch_to_tokens; values clamped to [0, 1] then scaled."""
     lead = tokens.shape[:-2]
     gs = math.isqrt(tokens.shape[-2])
     sub = tokens.reshape(*lead, gs, gs, b, b, channels)
-    patch = sub.swapaxes(-4, -3).reshape(*lead, gs * b, gs * b, channels)
-    return np.clip(np.rint(patch * 255.0), 0, 255).astype(np.uint8)
+    return _to_uint8(sub.swapaxes(-4, -3).reshape(*lead, gs * b, gs * b, channels))
 
 
 def embed(tokens: Tensor, positions: np.ndarray, params: dict[str, Tensor],
@@ -211,24 +221,30 @@ def assemble(features: Tensor, mask: EraseMask) -> Tensor:
     return ad.scatter_rows(features, kept_idx, mask.bits.size)
 
 
-def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Decoder over the full grid; output projection to pixel tokens.
+def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
+           rows: np.ndarray | None = None) -> Tensor:
+    """Decoder over the full grid; output projection to pixel tokens at
+    `rows` (every position when None).  Only the last block and the output
+    projection skip the other positions; the earlier blocks feed the last
+    one's keys and values everywhere.
 
     Decoder positional embedding is added (never multiplied) so erased
     positions, which arrive as exact zero vectors, stay distinguishable.
     """
     x = ad.add(tokens, params["pos_dec"])
     for i in range(_BLOCKS):
-        x = _block(x, params, f"dec{i}", cfg)
+        x = _block(x, params, f"dec{i}", cfg, rows if i == _BLOCKS - 1 else None)
     return ad.linear(x, params["proj_out.w"], params["proj_out.b"])
 
 
 def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
-                   cfg: ModelConfig) -> Tensor:
+                   cfg: ModelConfig, rows: np.ndarray | None = None) -> Tensor:
     """Full model on token input: embed kept, encode, assemble, decode.
 
-    With every position erased the encoder has nothing to attend over, so
-    the decoder sees the all-zero grid plus pos_dec.
+    The output holds the positions listed in rows (ascending indices into
+    the grid), or every position when rows is None, as in training.  With
+    every position erased the encoder has nothing to attend over, so the
+    decoder sees the all-zero grid plus pos_dec.
     """
     kept_idx = np.flatnonzero(mask.bits.reshape(-1))
     if kept_idx.size == 0:
@@ -238,25 +254,27 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
         emb = embed(kept, kept_idx, params, cfg)
         feats = encode(emb, params, cfg)
         full = assemble(feats, mask)
-    return decode(full, params, cfg)
+    return decode(full, params, cfg, rows)
 
 
 # Patches per forward_tokens call at inference, from perfbench server_decode
 # (two connections, 128x128 RGB, default_config, 2-vCPU host, OpenBLAS on one
-# thread as the server runs it).  Slices of 1 / 2 / 4 patches: median latency
-# 159 / 128 / 121 ms, 12.0 / 14.9 / 15.4 requests/s, server peak RSS 70.6 /
-# 74.5 / 82.2 MB (3 / 8 / 8 runs).  4 had the higher throughput in only 5 of
-# 8 paired runs, for 8 MB more, so the slice stays at 2.
-_SLICE = 2
+# thread as the server runs it, the last decoder block and proj_out on erased
+# positions only).  Slices of 2 / 3 / 4 patches: median latency 101 / 96 / 87
+# ms, 18.3 / 20.1 / 22.2 requests/s, server peak RSS 72.4 / 77.0 / 81.5 MB
+# (3 / 7 / 7 runs; one slice-4 run peaked at 88.0 MB).  4 had higher
+# throughput than 3 in 5 of 7 paired rounds and varied less (21.2-23.1
+# against 17.9-24.5 requests/s).
+_SLICE = 4
 
 
 def _predict(tokens: np.ndarray, mask: EraseMask, params: dict[str, Tensor],
-             cfg: ModelConfig) -> np.ndarray:
-    """Model output for a token stack (N, positions, token_dim), computed
-    by the training forward on slices of _SLICE patches through parameter
-    views that record no graph."""
+             cfg: ModelConfig, rows: np.ndarray | None = None) -> np.ndarray:
+    """Model output at rows (every position when None) for a token stack
+    (N, positions, token_dim), computed by the training forward on slices of
+    _SLICE patches through parameter views that record no graph."""
     view = {k: Tensor(v.data) for k, v in params.items()}
-    return np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg).data
+    return np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg, rows).data
                            for i in range(0, len(tokens), _SLICE)])
 
 
@@ -264,13 +282,21 @@ def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
     """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
     model predictions at erased positions, original pixels everywhere the
-    mask kept them."""
-    b = cfg.subpatch_b
-    tokens = patch_to_tokens(patches, b)
-    pred = _predict(tokens.reshape(-1, *tokens.shape[-2:]), mask, params, cfg)
-    recon = tokens_to_patch(pred.reshape(tokens.shape), b, cfg.channels)
-    erased = np.kron(1 - mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
-    return np.where(erased[..., None], recon, patches)  # kept pixels pass through exactly
+    mask kept them.  The model sees _SLICE patches at a time and writes into
+    the uint8 output, so no other buffer grows with the stack."""
+    out = patches.copy()  # kept pixels pass through exactly
+    erased = np.flatnonzero(mask.bits.reshape(-1) == 0)
+    if erased.size == 0:
+        return out
+    b, gs, c = cfg.subpatch_b, cfg.grid_side, cfg.channels
+    stack = out.reshape(-1, gs * b, gs * b, c)
+    subs = out.reshape(-1, gs, b, gs, b, c)  # sub-patch (r, q) is subs[:, r, :, q]
+    r, q = np.divmod(erased, gs)
+    for i in range(0, len(stack), _SLICE):
+        pred = _predict(patch_to_tokens(stack[i:i + _SLICE], b), mask, params, cfg, erased)
+        pixels = _to_uint8(pred).reshape(len(pred), erased.size, b, b, c)
+        subs[i:i + _SLICE, r, :, q] = pixels.swapaxes(0, 1)
+    return out
 
 
 def reconstruct_grid(grid: PatchGrid, mask: EraseMask,

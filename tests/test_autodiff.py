@@ -171,3 +171,14 @@ def test_adamw_nonfinite_grad():
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingError):
         AdamW().step({"p": p})
+
+
+def test_linear_bias_in_place_is_exact():
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    out = ad.linear(x, w, b)
+    assert np.array_equal(out.data, x.data @ w.data + b.data)
+    ad.tsum(out).backward()
+    assert np.array_equal(b.grad, np.full(5, 8.0))
+    assert np.array_equal(w.grad, x.data.sum(axis=(0, 1))[:, None] * np.ones(5))

@@ -37,6 +37,27 @@ def test_compress_shrinks_container(tmp_path, raster64):
     assert cont.stat().st_size < raster64.stat().st_size
 
 
+def test_compress_parses_input_once(tmp_path, capsys, monkeypatch):
+    import easz.cli
+    import easz.pipeline
+
+    rng = np.random.default_rng(22)
+    src, cont = tmp_path / "in.ppm", tmp_path / "out.easz"
+    src.write_bytes(store_raster(make_image(rng.integers(0, 256, (40, 72, 3), dtype=np.uint8))))
+    calls = []
+
+    def spy(data):
+        calls.append(len(data))
+        return load_raster(data)
+
+    for module in (easz.cli, easz.pipeline):
+        monkeypatch.setattr(module, "load_raster", spy)
+    assert main(["compress", str(src), "--out", str(cont)]) == 0
+    assert calls == [src.stat().st_size]
+    size = cont.stat().st_size
+    assert capsys.readouterr().out == f"wrote {cont}: {size} bytes, bpp={size * 8 / (40 * 72):.4f}\n"
+
+
 def test_compress_refuses_image_decode_would_refuse(tmp_path, capsys):
     # A 1-row image pads to 32 rows: one column past MAX_PIXELS // 32 is over
     # the limit that decode_container enforces, so nothing is written.

@@ -128,11 +128,16 @@ def test_assemble_count_mismatch(tiny_params):
         assemble(Tensor(rng.normal(size=(3, 16))), tiny_mask())
 
 
-def test_reconstruct_all_kept_is_identity(tiny_params):
+def test_reconstruct_all_kept_is_identity(tiny_params, monkeypatch):
+    def fail(*args):
+        raise AssertionError("nothing is erased, yet the model ran")
+
+    monkeypatch.setattr(easz_model, "forward_tokens", fail)
     rng = np.random.default_rng(11)
-    patch = rng.integers(0, 256, (8, 8, 1), dtype=np.uint8)
-    out = decode_and_reconstruct(patch, all_kept_mask(4, 4), tiny_params, TINY)
-    assert (out == patch).all()
+    for shape in ((8, 8, 1), (3, 8, 8, 1)):
+        patches = rng.integers(0, 256, shape, dtype=np.uint8)
+        out = decode_and_reconstruct(patches, all_kept_mask(4, 4), tiny_params, TINY)
+        assert np.array_equal(out, patches) and out is not patches
 
 
 def test_erased_input_independence(tiny_params):
@@ -210,6 +215,89 @@ def test_eval_loss_slices_match_whole_batch(tiny_params):
     tokens = patch_to_tokens(data, TINY.subpatch_b)
     whole = forward_tokens(Tensor(tokens), mask, tiny_params, TINY).data
     assert eval_loss(data, TINY, tiny_params, mask) == float(np.abs(whole - tokens).mean())
+
+
+def row_masks(gs):
+    """Row masks for every erase count T in 1..gs; T = gs with delta = 0
+    erases every position."""
+    for t in range(1, gs + 1):
+        for delta in (0, 1) if 2 * t <= gs else (0,):
+            yield generate_row_mask(SamplerParams(gs, gs, t, delta, int(t < gs), seed=t))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("grid_side", [4, 8])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_forward_rows_match_full_forward(heads, grid_side, channels):
+    cfg = ModelConfig(subpatch_b=2, channels=channels, d_model=16, grid_side=grid_side,
+                      heads=heads)
+    recording = init_params(cfg, seed=heads)
+    graph_free = {k: Tensor(v.data) for k, v in recording.items()}
+    rng = np.random.default_rng(grid_side + channels)
+    for mask in row_masks(grid_side):
+        rows = np.flatnonzero(mask.bits.reshape(-1) == 0)
+        tokens = Tensor(rng.random((2, cfg.num_positions, cfg.token_dim)))
+        for params in (graph_free, recording):
+            full = forward_tokens(tokens, mask, params, cfg).data
+            pruned = forward_tokens(tokens, mask, params, cfg, rows)
+            assert pruned.requires_grad == (params is recording)
+            assert np.array_equal(pruned.data, full[:, rows])
+
+
+def test_forward_rows_at_default_width():
+    # At d_model=128 the BLAS may pick another GEMM kernel for the shorter
+    # query matrix, so the pruned rows can differ from the full forward's
+    # in the last bits; the pixels they round to must not.
+    cfg = easz_model.default_config()
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(27)
+    tokens = Tensor(rng.random((2, cfg.num_positions, cfg.token_dim)))
+    for mask in row_masks(cfg.grid_side):
+        rows = np.flatnonzero(mask.bits.reshape(-1) == 0)
+        full = forward_tokens(tokens, mask, params, cfg).data[:, rows]
+        pruned = forward_tokens(tokens, mask, params, cfg, rows).data
+        assert np.abs(pruned - full).max() <= 1e-14
+        assert np.array_equal(easz_model._to_uint8(pruned), easz_model._to_uint8(full))
+
+
+def test_last_decoder_ffn_sees_only_rows(tiny_params, monkeypatch):
+    rows_seen, gelu = [], ad.gelu
+
+    def spy(x):
+        rows_seen.append(x.shape[-2])
+        return gelu(x)
+
+    monkeypatch.setattr(ad, "gelu", spy)
+    mask = tiny_mask(t=1)
+    kept = int(mask.bits.sum())
+    rows = np.flatnonzero(mask.bits.reshape(-1) == 0)
+    rng = np.random.default_rng(24)
+    forward_tokens(Tensor(rand_tokens(rng)), mask, tiny_params, TINY, rows)
+    # encoder blocks see kept positions, the first decoder block all of them
+    assert rows_seen == [kept, kept, 16, rows.size]
+
+
+def test_decode_memory_does_not_grow_with_stack():
+    import tracemalloc
+
+    cfg = ModelConfig(subpatch_b=4, channels=3, d_model=16, grid_side=8, heads=2)
+    params = init_params(cfg, seed=0)
+    mask = generate_row_mask(SamplerParams(8, 8, 2, 1, 1, seed=1))
+    rng = np.random.default_rng(26)
+    stack = rng.integers(0, 256, (64, 32, 32, 3), dtype=np.uint8)
+
+    def peak(patches):
+        tracemalloc.start()
+        try:
+            decode_and_reconstruct(patches, mask, params, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(stack[:8])
+    # only the uint8 output grows; the float64 tokens of the whole stack
+    # alone would be 64 * 24 KiB
+    assert peak(stack) <= small + stack.nbytes + 64 * 1024
 
 
 def test_loss_values():
