@@ -8,6 +8,10 @@ Tensor.grad by rebinding, never in place, so a Tensor.grad may share memory
 with other gradients and is read-only.  Every Tensor holds float64, for
 training and inference alike, so finite-difference checks are meaningful;
 float32 appears only in the checkpoint file.
+
+Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
+score-sized buffer, the weights, for its backward, and works in place on it
+and on its gradient, in the same floating-point order as the unfused chain.
 """
 
 from __future__ import annotations
@@ -179,34 +183,89 @@ def transpose(x: Tensor, axes: tuple) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last dim to zero mean / unit variance, then affine."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
-    xhat = xc * inv
+    """Normalize the last dim to zero mean / unit variance, then affine.
+
+    The forward's one temporary becomes xhat, and the output buffer first
+    holds the squares; the x VJP needs one scratch buffer besides its result.
+    """
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-5)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def vjp_x(g):
         gh = g * gamma.data
-        return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        m = gh.mean(axis=-1, keepdims=True)
+        tmp = gh * xhat
+        mx = tmp.mean(axis=-1, keepdims=True)
+        gh -= m
+        np.multiply(xhat, mx, out=tmp)
+        gh -= tmp
+        gh *= inv
+        return gh
 
-    return _op(xhat * gamma.data + beta.data,
-               (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g))
+    return _op(out, (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g))
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return _op(s, (x, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ kᵀ) @ v over the last two axes.
+
+    q is (..., mq, dk), k is (..., mk, dk) and v is (..., mk, dv); mq may be
+    smaller than mk.  The scores are scaled and softmaxed in place, and that
+    one buffer of weights is all the VJPs keep.  The backward forms g @ vᵀ
+    once and turns it in place into the score gradient, which the q and k
+    edges share; the k edge drops it.
+    """
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
+        raise DimensionError(
+            f"attention needs >=2-d operands, got {q.shape}, {k.shape}, {v.shape}")
+    try:
+        w = q.data @ k.data.swapaxes(-1, -2)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        out = w @ v.data
+    except ValueError:
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape}") from None
+    shared = []  # the score gradient, from the q edge to the k edge
+    share = q.requires_grad and k.requires_grad
+
+    def score_grad(g):
+        if shared:
+            return shared.pop()
+        gs = g @ v.data.swapaxes(-1, -2)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
+        if share:
+            shared.append(gs)
+        return gs
+
+    return _op(out, (q, lambda g: score_grad(g) @ k.data),
+               (k, lambda g: (q.data.swapaxes(-1, -2) @ score_grad(g)).swapaxes(-1, -2)),
+               (v, lambda g: w.swapaxes(-1, -2) @ g))
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
+    """Exact GELU: x * Phi(x) with the Gaussian CDF; Phi is the one
+    temporary, and the VJP builds its result in one buffer."""
+    phi = x.data / np.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data**2) / np.sqrt(2.0 * np.pi)
-        return g * (phi + x.data * pdf)
+        d = x.data**2
+        d *= -0.5
+        np.exp(d, out=d)
+        d /= np.sqrt(2.0 * np.pi)  # the Gaussian pdf
+        d *= x.data
+        d += phi
+        d *= g
+        return d
 
     return _op(x.data * phi, (x, vjp))
 

@@ -143,11 +143,7 @@ def _attention(q_in: Tensor, x: Tensor, p: dict[str, Tensor], prefix: str,
     def split(t):  # (..., m, d) -> (..., h, m, dh)
         return ad.transpose(ad.reshape(t, lead + (t.shape[-2], h, dh)), perm)
 
-    q, k, v = split(q), split(k), split(v)
-    kt = ad.transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
-    scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
-    attn = ad.softmax_lastdim(scores)
-    ctx = ad.matmul(attn, v)  # (..., h, mq, dh)
+    ctx = ad.attention(split(q), split(k), split(v), 1.0 / np.sqrt(dh))  # (..., h, mq, dh)
     ctx = ad.transpose(ctx, perm)  # (..., mq, h, dh)
     ctx = ad.reshape(ctx, lead + (q_in.shape[-2], d))
     return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])

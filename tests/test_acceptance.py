@@ -240,7 +240,7 @@ def test_criterion_06_gradients():
             "reshape": lambda x: ad.tsum(ad.mul(ad.reshape(x, (4, 3)), c2)),
             "transpose": lambda x: ad.tsum(ad.mul(ad.transpose(x, (1, 0)), c2)),
             "layer_norm": lambda x: ad.tsum(ad.layer_norm(x, gamma, beta)),
-            "softmax": lambda x: ad.tsum(ad.mul(ad.softmax_lastdim(x), c1)),
+            "attention": lambda x: ad.tsum(ad.mul(ad.attention(x, x, x, 0.7), c1)),
             "gelu": lambda x: ad.tsum(ad.gelu(x)),
             "mean_abs_error": lambda x: ad.mean_abs_error(x, c1),
         }

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from easz import autodiff as ad
 from easz.autodiff import AdamW, Tensor, grad_check
@@ -30,14 +33,28 @@ def test_layer_norm_constant_vector():
     assert np.allclose(out.data, 0.0)
 
 
-def test_softmax_uniform():
-    out = ad.softmax_lastdim(Tensor(np.zeros((1, 4))))
-    assert np.allclose(out.data, 0.25)
+def test_attention_uniform_over_equal_keys():
+    # equal scores give every key the same weight, so each query gets the mean value
+    v = t((4, 3), grad=False)
+    out = ad.attention(t((2, 5), grad=False), Tensor(np.zeros((4, 5))), v, 0.7)
+    assert np.allclose(out.data, np.broadcast_to(v.data.mean(axis=0), (2, 3)))
 
 
-def test_softmax_rows_sum_to_one():
-    out = ad.softmax_lastdim(t((5, 7), grad=False))
+def test_attention_weights_sum_to_one():
+    # with identity values the output rows are the attention weights
+    out = ad.attention(t((5, 3), grad=False), t((7, 3), grad=False),
+                       Tensor(np.eye(7)), 0.9)
+    assert (out.data >= 0).all()
     assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
+
+
+def test_attention_shape_errors():
+    with pytest.raises(DimensionError):
+        ad.attention(t((2, 3)), t((4, 5)), t((4, 2)), 1.0)
+    with pytest.raises(DimensionError):
+        ad.attention(t((2, 3)), t((4, 3)), t((5, 2)), 1.0)
+    with pytest.raises(DimensionError):
+        ad.attention(t((3,)), t((4, 3)), t((4, 2)), 1.0)
 
 
 def test_simple_closed_form_gradient():
@@ -108,10 +125,108 @@ def test_grad_check_layer_norm(shape):
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 5)])
-def test_grad_check_softmax_gelu(shape):
-    w = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda x: ad.tsum(ad.mul(ad.softmax_lastdim(x), w)), t(shape)) < 1e-6
+def test_grad_check_gelu(shape):
     assert grad_check(lambda x: ad.tsum(ad.gelu(x)), t(shape)) < 1e-6
+
+
+def test_gelu_layer_norm_match_out_of_place_bitwise():
+    # the in-place primitives against their out-of-place formulas, value and VJPs
+    r = np.random.default_rng(11)
+    x, g = r.normal(size=(2, 3, 16, 8)), r.normal(size=(2, 3, 16, 8))
+    gamma, beta = r.normal(size=8), r.normal(size=8)
+
+    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi)
+    xt = Tensor(x, requires_grad=True)
+    out = ad.gelu(xt)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    assert np.array_equal(out.data, x * phi)
+    assert np.array_equal(xt.grad, g * (phi + x * pdf))
+
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xc * inv
+    gh = g * gamma
+    want_gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                     - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    xt, gt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True)
+    out = ad.layer_norm(xt, gt, Tensor(beta))
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    assert np.array_equal(out.data, xhat * gamma + beta)
+    assert np.array_equal(xt.grad, want_gx)
+    assert np.array_equal(gt.grad, (g * xhat).sum(axis=0).sum(axis=0).sum(axis=0))
+
+
+@pytest.mark.parametrize("edge", ["q", "k", "v"])
+def test_grad_check_attention(edge):
+    # 4-D leading dims, fewer query rows than key rows, a scale off the powers of two
+    qkv = {"q": t((2, 2, 3, 4)), "k": t((2, 2, 5, 4)), "v": t((2, 2, 5, 3))}
+    w = Tensor(rng.normal(size=(2, 2, 3, 3)))
+
+    def f(x):
+        args = dict(qkv, **{edge: x})
+        return ad.tsum(ad.mul(ad.attention(args["q"], args["k"], args["v"], 0.37), w))
+
+    # the five-point stencil: some k and q coordinates are small enough that
+    # the two-point difference's roundoff alone nears the bound
+    assert grad_check(f, qkv[edge], eps=1e-4, order=4) < 1e-6
+
+
+def test_attention_keeps_one_score_buffer():
+    # the graph holds the weights and the output; the unfused chain held
+    # three score-sized arrays (raw, scaled, softmaxed)
+    q, k, v = (t((8, 2, 256, 16)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        out = ad.attention(q, k, v, 0.25)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    scores = 8 * 2 * 256 * 256 * 8
+    assert scores + out.data.nbytes <= kept < scores + out.data.nbytes + (64 << 10)
+
+
+def _composed_attention(q, k, v, scale, g):
+    """softmax(scale * q @ kᵀ) @ v and its q, k, v gradients for output
+    gradient g, one numpy operation per step of the unfused chain."""
+    s0 = q @ k.swapaxes(-1, -2)
+    s1 = s0 * scale
+    a = s1 - s1.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    out = a @ v
+    ga = g @ v.swapaxes(-1, -2)
+    gv = a.swapaxes(-1, -2) @ g
+    gs1 = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
+    gs0 = gs1 * scale
+    gk = (q.swapaxes(-1, -2) @ gs0).swapaxes(-1, -2)
+    return out, gs0 @ k, gk, gv
+
+
+# (batch, heads, query rows, key rows, head dim): the train benchmark's
+# decoder (grid 16, d_model 32, 2 heads, batch 8), then default_config
+# inference on a 4-patch slice: encoder, decoder, and the row-pruned last
+# decoder block
+ATTENTION_SHAPES = [(8, 2, 256, 256, 16), (4, 4, 48, 48, 32), (4, 4, 64, 64, 32),
+                    (4, 4, 16, 64, 32)]
+
+
+@pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+def test_attention_matches_composed_chain_bitwise(shape):
+    n, h, mq, mk, dh = shape
+    r = np.random.default_rng(list(shape))
+
+    def heads(m):  # the (n, h, m, dh) head view of an (n, m, h*dh) projection
+        return r.normal(size=(n, m, h, dh)).transpose(0, 2, 1, 3)
+
+    q, k, v = (Tensor(heads(m), requires_grad=True) for m in (mq, mk, mk))
+    g = r.normal(size=(n, h, mq, dh))
+    scale = 1.0 / np.sqrt(dh)
+    out = ad.attention(q, k, v, scale)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    want = _composed_attention(q.data, k.data, v.data, scale, g)
+    for got, exp in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert np.array_equal(got, exp)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 3)])
@@ -174,7 +289,8 @@ def test_adamw_nonfinite_grad():
 
 
 def test_linear_bias_in_place_is_exact():
-    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    # integer-valued x: its sums are exact in every summation order
+    x = Tensor(rng.integers(-4, 5, size=(2, 4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=5), requires_grad=True)
     out = ad.linear(x, w, b)
