@@ -5,9 +5,12 @@ arrays.  A primitive is its forward value plus one vector-Jacobian product
 (VJP) per input, handed to _op, which alone records the graph and routes
 gradients.  Call backward() on a scalar; gradients accumulate into
 Tensor.grad by rebinding, never in place, so a Tensor.grad may share memory
-with other gradients and is read-only.  Every Tensor holds float64, for
-training and inference alike, so finite-difference checks are meaningful;
-float32 appears only in the checkpoint file.
+with other gradients and is read-only.  A Tensor holds float32 data as
+float32 and widens anything else to float64.  Training, gradient checks and
+checkpoint fine-tuning run in float64, so finite-difference checks are
+meaningful; model reconstruction runs the same primitives in float32.  No
+primitive widens float32 on its own: scalars are Python floats, which take
+the array's precision.
 
 Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
 score-sized buffer, the weights, for its backward, and works in place on it
@@ -15,6 +18,8 @@ and on its gradient, in the same floating-point order as the unfused chain.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -28,7 +33,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -252,7 +258,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF; Phi is the one
     temporary, and the VJP builds its result in one buffer."""
-    phi = x.data / np.sqrt(2.0)
+    phi = x.data / math.sqrt(2.0)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
@@ -261,7 +267,7 @@ def gelu(x: Tensor) -> Tensor:
         d = x.data**2
         d *= -0.5
         np.exp(d, out=d)
-        d /= np.sqrt(2.0 * np.pi)  # the Gaussian pdf
+        d /= math.sqrt(2.0 * math.pi)  # the Gaussian pdf
         d *= x.data
         d += phi
         d *= g

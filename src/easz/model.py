@@ -143,7 +143,7 @@ def _attention(q_in: Tensor, x: Tensor, p: dict[str, Tensor], prefix: str,
     def split(t):  # (..., m, d) -> (..., h, m, dh)
         return ad.transpose(ad.reshape(t, lead + (t.shape[-2], h, dh)), perm)
 
-    ctx = ad.attention(split(q), split(k), split(v), 1.0 / np.sqrt(dh))  # (..., h, mq, dh)
+    ctx = ad.attention(split(q), split(k), split(v), 1.0 / math.sqrt(dh))  # (..., h, mq, dh)
     ctx = ad.transpose(ctx, perm)  # (..., mq, h, dh)
     ctx = ad.reshape(ctx, lead + (q_in.shape[-2], d))
     return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -167,12 +167,13 @@ def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig,
     return ad.layer_norm(x, p[f"{prefix}.ln3.g"], p[f"{prefix}.ln3.b"])
 
 
-def patch_to_tokens(patch: np.ndarray, b: int) -> np.ndarray:
-    """(..., n, n, C) uint8 -> (..., grid**2, b*b*C) float in [0, 1], raster order."""
+def patch_to_tokens(patch: np.ndarray, b: int, dtype=np.float64) -> np.ndarray:
+    """(..., n, n, C) uint8 -> (..., grid**2, b*b*C) float in [0, 1], raster
+    order; float64 for training, float32 for reconstruction."""
     *lead, n, _, c = patch.shape
     gs = n // b
     sub = patch.reshape(*lead, gs, b, gs, b, c).swapaxes(-4, -3)
-    return sub.reshape(*lead, gs * gs, b * b * c).astype(np.float64) / 255.0
+    return sub.reshape(*lead, gs * gs, b * b * c).astype(dtype) / 255.0
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
@@ -244,7 +245,8 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
     """
     kept_idx = np.flatnonzero(mask.bits.reshape(-1))
     if kept_idx.size == 0:
-        full = Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model)))
+        full = Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model),
+                               dtype=tokens.data.dtype))
     else:
         kept = ad.gather_rows(tokens, kept_idx)
         emb = embed(kept, kept_idx, params, cfg)
@@ -254,32 +256,29 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
 
 
 # Patches per forward_tokens call at inference, from perfbench server_decode
-# (two connections, 128x128 RGB, default_config, 2-vCPU host, OpenBLAS on one
-# thread as the server runs it, the last decoder block and proj_out on erased
-# positions only).  Slices of 2 / 3 / 4 patches: median latency 101 / 96 / 87
-# ms, 18.3 / 20.1 / 22.2 requests/s, server peak RSS 72.4 / 77.0 / 81.5 MB
-# (3 / 7 / 7 runs; one slice-4 run peaked at 88.0 MB).  4 had higher
-# throughput than 3 in 5 of 7 paired rounds and varied less (21.2-23.1
-# against 17.9-24.5 requests/s).
+# (two connections, 128x128 RGB, default_config in float32, 2-vCPU host,
+# OpenBLAS on one thread as the server runs it, the last decoder block and
+# proj_out on erased positions only).  4 alternating pairs of slices of 4 and
+# 8 patches: 34.3-39.6 against 36.8-41.4 requests/s (8 ahead in 3 pairs, even
+# in one), median latency 47-56 against 46-51 ms, server peak RSS 73.4-76.5
+# against 81.6-87.5 MB.  8 is a little faster but raises the server's peak
+# by 8-14 MB, so the slice stays 4.
 _SLICE = 4
 
 
-def _predict(tokens: np.ndarray, mask: EraseMask, params: dict[str, Tensor],
-             cfg: ModelConfig, rows: np.ndarray | None = None) -> np.ndarray:
-    """Model output at rows (every position when None) for a token stack
-    (N, positions, token_dim), computed by the training forward on slices of
-    _SLICE patches through parameter views that record no graph."""
-    view = {k: Tensor(v.data) for k, v in params.items()}
-    return np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg, rows).data
-                           for i in range(0, len(tokens), _SLICE)])
+def inference_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The weights reconstruction runs on: the parameters in float32 (not
+    copied when they already are), as tensors that record no graph."""
+    return {k: Tensor(v.data.astype(np.float32, copy=False)) for k, v in params.items()}
 
 
 def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
     """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
     model predictions at erased positions, original pixels everywhere the
-    mask kept them.  The model sees _SLICE patches at a time and writes into
-    the uint8 output, so no other buffer grows with the stack."""
+    mask kept them.  The model runs in float32 on the float32 weights (what a
+    checkpoint stores), sees _SLICE patches at a time and writes into the
+    uint8 output, so no other buffer grows with the stack."""
     out = patches.copy()  # kept pixels pass through exactly
     erased = np.flatnonzero(mask.bits.reshape(-1) == 0)
     if erased.size == 0:
@@ -288,8 +287,10 @@ def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
     stack = out.reshape(-1, gs * b, gs * b, c)
     subs = out.reshape(-1, gs, b, gs, b, c)  # sub-patch (r, q) is subs[:, r, :, q]
     r, q = np.divmod(erased, gs)
+    view = inference_params(params)
     for i in range(0, len(stack), _SLICE):
-        pred = _predict(patch_to_tokens(stack[i:i + _SLICE], b), mask, params, cfg, erased)
+        tokens = Tensor(patch_to_tokens(stack[i:i + _SLICE], b, np.float32))
+        pred = forward_tokens(tokens, mask, view, cfg, erased).data
         pixels = _to_uint8(pred).reshape(len(pred), erased.size, b, b, c)
         subs[i:i + _SLICE, r, :, q] = pixels.swapaxes(0, 1)
     return out
@@ -380,9 +381,14 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
 
 def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
               mask: EraseMask) -> float:
-    """Mean L1 over a dataset under one fixed mask, no gradient."""
+    """Mean L1 over a dataset under one fixed mask, no gradient: the
+    training forward in float64 on slices of _SLICE patches, through
+    parameter views that record no graph."""
     tokens = patch_to_tokens(dataset, cfg.subpatch_b)
-    return float(np.abs(_predict(tokens, mask, params, cfg) - tokens).mean())
+    view = {k: Tensor(v.data) for k, v in params.items()}
+    pred = np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg).data
+                           for i in range(0, len(tokens), _SLICE)])
+    return float(np.abs(pred - tokens).mean())
 
 
 # --- checkpoint format -----------------------------------------------------
@@ -447,6 +453,7 @@ def load_checkpoint(data: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
         size = int(np.prod(shape))
         vals = np.frombuffer(data, dtype="<f4", count=size, offset=off)
         off += 4 * size
-        # Tensor widens the float32 values to float64, which is exact
-        params[name] = Tensor(vals.reshape(shape), requires_grad=True)
+        # widened to float64, exactly, for fine-tuning; reconstruction casts
+        # them back to these float32 values
+        params[name] = Tensor(vals.reshape(shape).astype(np.float64), requires_grad=True)
     return params, cfg

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,22 +9,27 @@ from easz import autodiff as ad
 from easz.autodiff import AdamW, Tensor, grad_check
 from easz.errors import DimensionError, TrainingError
 
-rng = np.random.default_rng(0)
+
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so that its data do not depend on
+    which tests ran before it."""
+    return np.random.default_rng(0)
 
 
-def t(shape, grad=True):
+def t(rng, shape, grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=grad)
 
 
-def test_matmul_identity():
+def test_matmul_identity(rng):
     a = rng.normal(size=(2, 2))
     out = ad.matmul(Tensor(np.eye(2)), Tensor(a))
     assert np.allclose(out.data, a)
 
 
-def test_matmul_shape_error():
+def test_matmul_shape_error(rng):
     with pytest.raises(DimensionError):
-        ad.matmul(t((2, 3)), t((2, 3)))
+        ad.matmul(t(rng, (2, 3)), t(rng, (2, 3)))
 
 
 def test_layer_norm_constant_vector():
@@ -33,28 +39,28 @@ def test_layer_norm_constant_vector():
     assert np.allclose(out.data, 0.0)
 
 
-def test_attention_uniform_over_equal_keys():
+def test_attention_uniform_over_equal_keys(rng):
     # equal scores give every key the same weight, so each query gets the mean value
-    v = t((4, 3), grad=False)
-    out = ad.attention(t((2, 5), grad=False), Tensor(np.zeros((4, 5))), v, 0.7)
+    v = t(rng, (4, 3), grad=False)
+    out = ad.attention(t(rng, (2, 5), grad=False), Tensor(np.zeros((4, 5))), v, 0.7)
     assert np.allclose(out.data, np.broadcast_to(v.data.mean(axis=0), (2, 3)))
 
 
-def test_attention_weights_sum_to_one():
+def test_attention_weights_sum_to_one(rng):
     # with identity values the output rows are the attention weights
-    out = ad.attention(t((5, 3), grad=False), t((7, 3), grad=False),
+    out = ad.attention(t(rng, (5, 3), grad=False), t(rng, (7, 3), grad=False),
                        Tensor(np.eye(7)), 0.9)
     assert (out.data >= 0).all()
     assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
 
 
-def test_attention_shape_errors():
+def test_attention_shape_errors(rng):
     with pytest.raises(DimensionError):
-        ad.attention(t((2, 3)), t((4, 5)), t((4, 2)), 1.0)
+        ad.attention(t(rng, (2, 3)), t(rng, (4, 5)), t(rng, (4, 2)), 1.0)
     with pytest.raises(DimensionError):
-        ad.attention(t((2, 3)), t((4, 3)), t((5, 2)), 1.0)
+        ad.attention(t(rng, (2, 3)), t(rng, (4, 3)), t(rng, (5, 2)), 1.0)
     with pytest.raises(DimensionError):
-        ad.attention(t((3,)), t((4, 3)), t((4, 2)), 1.0)
+        ad.attention(t(rng, (3,)), t(rng, (4, 3)), t(rng, (4, 2)), 1.0)
 
 
 def test_simple_closed_form_gradient():
@@ -82,7 +88,7 @@ def test_mae_tie_subgradient_zero():
     assert np.allclose(x.grad, 0.0)
 
 
-def test_gather_scatter_routes_gradients():
+def test_gather_scatter_routes_gradients(rng):
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     idx = np.array([1, 3])
     weights = Tensor(rng.normal(size=(4, 3)))
@@ -96,37 +102,37 @@ PRIMITIVE_SHAPES = [(4,), (3, 5), (2, 3, 4)]
 
 
 @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
-def test_grad_check_add_mul_scale(shape):
+def test_grad_check_add_mul_scale(shape, rng):
     other = Tensor(rng.normal(size=shape))
     for f in (
         lambda x: ad.tsum(ad.add(x, other)),
         lambda x: ad.tsum(ad.mul(x, other)),
         lambda x: ad.tsum(ad.scale(x, -2.5)),
     ):
-        assert grad_check(f, t(shape)) < 1e-6
+        assert grad_check(f, t(rng, shape)) < 1e-6
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (5, 2, 4, 3)])
-def test_grad_check_matmul(shape):
+def test_grad_check_matmul(shape, rng):
     w = Tensor(rng.normal(size=(3, 6)))
-    assert grad_check(lambda x: ad.tsum(ad.matmul(x, w)), t(shape)) < 1e-6
+    assert grad_check(lambda x: ad.tsum(ad.matmul(x, w)), t(rng, shape)) < 1e-6
     lhs = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda x: ad.tsum(ad.matmul(lhs, x)), t((3, 6))) < 1e-6
+    assert grad_check(lambda x: ad.tsum(ad.matmul(lhs, x)), t(rng, (3, 6))) < 1e-6
 
 
 @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 6)])
-def test_grad_check_layer_norm(shape):
+def test_grad_check_layer_norm(shape, rng):
     gamma = Tensor(rng.normal(size=6))
     beta = Tensor(rng.normal(size=6))
-    assert grad_check(lambda x: ad.tsum(ad.layer_norm(x, gamma, beta)), t(shape)) < 1e-6
+    assert grad_check(lambda x: ad.tsum(ad.layer_norm(x, gamma, beta)), t(rng, shape)) < 1e-6
     xc = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda g: ad.tsum(ad.layer_norm(xc, g, beta)), t((6,))) < 1e-6
-    assert grad_check(lambda b: ad.tsum(ad.layer_norm(xc, gamma, b)), t((6,))) < 1e-6
+    assert grad_check(lambda g: ad.tsum(ad.layer_norm(xc, g, beta)), t(rng, (6,))) < 1e-6
+    assert grad_check(lambda b: ad.tsum(ad.layer_norm(xc, gamma, b)), t(rng, (6,))) < 1e-6
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 5)])
-def test_grad_check_gelu(shape):
-    assert grad_check(lambda x: ad.tsum(ad.gelu(x)), t(shape)) < 1e-6
+def test_grad_check_gelu(shape, rng):
+    assert grad_check(lambda x: ad.tsum(ad.gelu(x)), t(rng, shape)) < 1e-6
 
 
 def test_gelu_layer_norm_match_out_of_place_bitwise():
@@ -158,9 +164,9 @@ def test_gelu_layer_norm_match_out_of_place_bitwise():
 
 
 @pytest.mark.parametrize("edge", ["q", "k", "v"])
-def test_grad_check_attention(edge):
+def test_grad_check_attention(edge, rng):
     # 4-D leading dims, fewer query rows than key rows, a scale off the powers of two
-    qkv = {"q": t((2, 2, 3, 4)), "k": t((2, 2, 5, 4)), "v": t((2, 2, 5, 3))}
+    qkv = {"q": t(rng, (2, 2, 3, 4)), "k": t(rng, (2, 2, 5, 4)), "v": t(rng, (2, 2, 5, 3))}
     w = Tensor(rng.normal(size=(2, 2, 3, 3)))
 
     def f(x):
@@ -172,10 +178,10 @@ def test_grad_check_attention(edge):
     assert grad_check(f, qkv[edge], eps=1e-4, order=4) < 1e-6
 
 
-def test_attention_keeps_one_score_buffer():
+def test_attention_keeps_one_score_buffer(rng):
     # the graph holds the weights and the output; the unfused chain held
     # three score-sized arrays (raw, scaled, softmaxed)
-    q, k, v = (t((8, 2, 256, 16)) for _ in range(3))
+    q, k, v = (t(rng, (8, 2, 256, 16)) for _ in range(3))
     tracemalloc.start()
     try:
         out = ad.attention(q, k, v, 0.25)
@@ -230,24 +236,24 @@ def test_attention_matches_composed_chain_bitwise(shape):
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 3)])
-def test_grad_check_gather_scatter_concat(shape):
+def test_grad_check_gather_scatter_concat(shape, rng):
     idx = np.array([0, 2, 2])
-    assert grad_check(lambda x: ad.tsum(ad.gather_rows(x, idx)), t(shape)) < 1e-6
+    assert grad_check(lambda x: ad.tsum(ad.gather_rows(x, idx)), t(rng, shape)) < 1e-6
     w = Tensor(rng.normal(size=shape[:-2] + (6, 3)))
     assert grad_check(
         lambda x: ad.tsum(ad.mul(ad.scatter_rows(x, np.array([1, 4, 5, 0]), 6), w)),
-        t(shape[:-2] + (4, 3)),
+        t(rng, shape[:-2] + (4, 3)),
     ) < 1e-6
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (7,)])
-def test_grad_check_linear_mae(shape):
+def test_grad_check_linear_mae(shape, rng):
     if len(shape) >= 2:
         w = Tensor(rng.normal(size=(shape[-1], 5)))
         b = Tensor(rng.normal(size=5))
-        assert grad_check(lambda x: ad.tsum(ad.linear(x, w, b)), t(shape)) < 1e-6
+        assert grad_check(lambda x: ad.tsum(ad.linear(x, w, b)), t(rng, shape)) < 1e-6
     y = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda x: ad.mean_abs_error(x, y), t(shape)) < 1e-6
+    assert grad_check(lambda x: ad.mean_abs_error(x, y), t(rng, shape)) < 1e-6
 
 
 def test_grad_check_nonfinite():
@@ -288,7 +294,7 @@ def test_adamw_nonfinite_grad():
         AdamW().step({"p": p})
 
 
-def test_linear_bias_in_place_is_exact():
+def test_linear_bias_in_place_is_exact(rng):
     # integer-valued x: its sums are exact in every summation order
     x = Tensor(rng.integers(-4, 5, size=(2, 4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -298,3 +304,56 @@ def test_linear_bias_in_place_is_exact():
     ad.tsum(out).backward()
     assert np.array_equal(b.grad, np.full(5, 8.0))
     assert np.array_equal(w.grad, x.data.sum(axis=(0, 1))[:, None] * np.ones(5))
+
+
+IDX = np.array([3, 0, 2])
+
+
+def _scattered(x):
+    out = np.zeros(x.shape[:-2] + (5,) + x.shape[-1:])
+    out[..., IDX, :] = x
+    return out
+
+
+def _layer_normed(x, gamma, beta):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
+    return xhat * gamma + beta
+
+
+# name -> (primitive on Tensors, its float64 formula on arrays, input shapes);
+# the formulas spell out the float64 computation step by step, scalars
+# included, so a float64 output that equals them is unchanged bit for bit
+DTYPE_CASES = {
+    "add": (ad.add, np.add, [(2, 4, 6), (6,)]),
+    "mul": (ad.mul, np.multiply, [(2, 4, 6), (4, 6)]),
+    "scale": (lambda a: ad.scale(a, 0.3), lambda a: a * 0.3, [(2, 4, 6)]),
+    "matmul": (ad.matmul, np.matmul, [(2, 4, 6), (6, 5)]),
+    "linear": (ad.linear, lambda x, w, b: x @ w + b, [(2, 4, 6), (6, 5), (5,)]),
+    "gather_rows": (lambda x: ad.gather_rows(x, IDX), lambda x: np.take(x, IDX, axis=-2),
+                    [(2, 4, 6)]),
+    "scatter_rows": (lambda x: ad.scatter_rows(x, IDX, 5), _scattered, [(2, 3, 6)]),
+    "reshape": (lambda x: ad.reshape(x, (2, 24)), lambda x: x.reshape(2, 24), [(2, 4, 6)]),
+    "transpose": (lambda x: ad.transpose(x, (1, 0, 2)), lambda x: x.transpose(1, 0, 2),
+                  [(2, 4, 6)]),
+    "layer_norm": (ad.layer_norm, _layer_normed, [(2, 4, 6), (6,), (6,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 1.0 / math.sqrt(6)),
+                  lambda q, k, v: _composed_attention(q, k, v, 1.0 / np.sqrt(6),
+                                                      np.zeros((2, 3, 4)))[0],
+                  [(2, 3, 6), (2, 5, 6), (2, 5, 4)]),
+    "gelu": (ad.gelu, lambda x: x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))), [(2, 4, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_primitive_keeps_float32_and_float64_values(name, rng):
+    # reconstruction runs in float32: no primitive may widen it, while
+    # training's float64 values stay what they were
+    primitive, formula, shapes = DTYPE_CASES[name]
+    args = [rng.normal(size=s) for s in shapes]
+    out64 = primitive(*(Tensor(a) for a in args)).data
+    assert out64.dtype == np.float64
+    assert np.array_equal(out64, formula(*args))
+    out32 = primitive(*(Tensor(a.astype(np.float32)) for a in args)).data
+    assert out32.dtype == np.float32
+    assert np.allclose(out32, out64, rtol=1e-5, atol=1e-6)

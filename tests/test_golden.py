@@ -3,8 +3,11 @@
 Seed-mode containers already on disk depend on the mask sampler drawing the
 same bits, and store-codec containers on squeeze laying out the same pixels,
 so these SHA-256 digests must never change.  Float model output is not
-frozen (it can differ across BLAS builds); reconstruct_grid is instead
-compared with a per-patch forward through the training-time graph.
+frozen (it can differ across BLAS builds).  Reconstruction runs the model in
+float32 on the checkpoint's float32 weights, so reconstruct_grid is instead
+compared, byte for byte, with a per-patch forward through the training-time
+graph on float32 tokens and weights; and at the production config with the
+float64 training forward, within one byte at erased pixels.
 """
 
 import hashlib
@@ -16,9 +19,10 @@ from easz.autodiff import Tensor
 from easz.container import MASK_EXPLICIT, MASK_SEED, encode_container
 from easz.image import make_image, patchify
 from easz.mask import SamplerParams, generate_row_mask, pack_mask
-from easz.model import (ModelConfig, forward_tokens, init_params,
-                        load_checkpoint, patch_to_tokens, reconstruct_grid,
-                        sample_training_mask, save_checkpoint, tokens_to_patch)
+from easz.model import (ModelConfig, decode_and_reconstruct, default_config,
+                        forward_tokens, init_params, load_checkpoint,
+                        patch_to_tokens, reconstruct_grid, sample_training_mask,
+                        save_checkpoint, tokens_to_patch)
 from easz.pipeline import PipelineConfig
 from easz.squeeze import squeeze
 
@@ -89,16 +93,37 @@ def test_squeeze_and_containers_frozen(seed):
 def test_reconstruct_grid_matches_reference():
     cfg = ModelConfig(subpatch_b=2, channels=3, d_model=16, grid_side=4,
                       heads=2, ffn_multiplier=2)
-    # float32-exact parameters, widened to float64, that record a graph, as
-    # load_checkpoint returns them
+    # float32-exact parameters, widened to float64, as load_checkpoint
+    # returns them; the reference runs on their float32 values, recording a graph
     params, _ = load_checkpoint(save_checkpoint(init_params(cfg, seed=1), cfg))
+    params32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True)
+                for k, v in params.items()}
     rng = np.random.default_rng(2)
     grid = patchify(make_image(rng.integers(0, 256, (14, 24, 3), dtype=np.uint8)), 8, 2)
     mask = generate_row_mask(SamplerParams(4, 4, 2, 0, 1, seed=5))
     out = reconstruct_grid(grid, mask, params, cfg)
     erased = np.kron(1 - mask.bits, np.ones((2, 2), dtype=np.uint8)).astype(bool)
     for patch, got in zip(grid.patches, out.patches):
-        pred = forward_tokens(Tensor(patch_to_tokens(patch, 2)), mask, params, cfg)
-        assert pred.requires_grad
+        pred = forward_tokens(Tensor(patch_to_tokens(patch, 2, np.float32)), mask,
+                              params32, cfg)
+        assert pred.requires_grad and pred.data.dtype == np.float32
         want = np.where(erased[..., None], tokens_to_patch(pred.data, 2, 3), patch)
         assert np.array_equal(got, want)
+
+
+def test_float32_reconstruction_within_a_byte_of_float64():
+    # Rounding float32 predictions can land on the other side of a half
+    # from float64 ones; one byte is the worst difference measured.
+    cfg = default_config()
+    params, _ = load_checkpoint(save_checkpoint(init_params(cfg, seed=0), cfg))
+    b, gs, c = cfg.subpatch_b, cfg.grid_side, cfg.channels
+    rng = np.random.default_rng(3)
+    patches = rng.integers(0, 256, (16, gs * b, gs * b, c), dtype=np.uint8)
+    mask = PipelineConfig(seed=3).make_mask()
+    out = decode_and_reconstruct(patches, mask, params, cfg)
+    pred = forward_tokens(Tensor(patch_to_tokens(patches, b)), mask, params, cfg)
+    assert pred.data.dtype == np.float64
+    erased = np.kron(1 - mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
+    assert np.array_equal(out[:, ~erased], patches[:, ~erased])
+    want = tokens_to_patch(pred.data, b, c)
+    assert np.abs(out[:, erased].astype(int) - want[:, erased]).max() <= 1

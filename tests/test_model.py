@@ -277,6 +277,24 @@ def test_last_decoder_ffn_sees_only_rows(tiny_params, monkeypatch):
     assert rows_seen == [kept, kept, 16, rows.size]
 
 
+@pytest.mark.parametrize("erase_all", [False, True])
+def test_forward_tokens_keeps_float32_and_float64_values(tiny_params, erase_all):
+    # float32 tokens and weights give float32 out, with rows and with every
+    # position erased; float64 takes the float64 zero grid it always took
+    mask = EraseMask(np.zeros((4, 4), dtype=np.uint8)) if erase_all else tiny_mask(t=2)
+    rows = np.flatnonzero(mask.bits.reshape(-1) == 0)
+    tokens = np.random.default_rng(30).random((2, 16, TINY.token_dim))
+    out64 = forward_tokens(Tensor(tokens), mask, tiny_params, TINY, rows).data
+    assert out64.dtype == np.float64
+    if erase_all:
+        zeros = Tensor(np.zeros((2, 16, TINY.d_model)))
+        assert np.array_equal(out64, decode(zeros, tiny_params, TINY, rows).data)
+    view = {k: Tensor(v.data.astype(np.float32)) for k, v in tiny_params.items()}
+    out32 = forward_tokens(Tensor(tokens.astype(np.float32)), mask, view, TINY, rows).data
+    assert out32.dtype == np.float32
+    assert np.allclose(out32, out64, rtol=1e-5, atol=1e-6)
+
+
 def test_decode_memory_does_not_grow_with_stack():
     import tracemalloc
 
@@ -295,8 +313,8 @@ def test_decode_memory_does_not_grow_with_stack():
             tracemalloc.stop()
 
     small = peak(stack[:8])
-    # only the uint8 output grows; the float64 tokens of the whole stack
-    # alone would be 64 * 24 KiB
+    # only the uint8 output grows; the float32 tokens of the whole stack
+    # alone would be 64 * 12 KiB
     assert peak(stack) <= small + stack.nbytes + 64 * 1024
 
 

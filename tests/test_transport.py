@@ -10,7 +10,8 @@ import easz.transport as tr
 from easz.cli import main
 from easz.errors import TransportError
 from easz.image import make_image, store_raster
-from easz.model import ModelConfig, init_params, save_checkpoint
+from easz.model import (ModelConfig, default_config, init_params, load_checkpoint,
+                        save_checkpoint)
 from easz.pipeline import (STAGES, PipelineConfig, StageTimings,
                            compress_bytes, decompress_bytes)
 from easz.transport import (FRAME_CAP, ReconstructionServer, _unpack_status,
@@ -219,6 +220,46 @@ def test_server_with_model_runs_blas_on_one_thread(tmp_path, monkeypatch, capsys
     finally:
         for set_threads, count in zip(sets, found):
             set_threads(count)
+
+
+def test_decoded_bytes_do_not_depend_on_blas_threads():
+    # `easz serve` decodes on one BLAS thread; a process decoding the same
+    # container on its default thread count must get the same bytes
+    gets, sets = tr._openblas_threads("get"), tr._openblas_threads("set")
+    if not gets:
+        pytest.skip("no OpenBLAS mapped in this process")
+    cfg = default_config()
+    model = load_checkpoint(save_checkpoint(init_params(cfg, seed=0), cfg))
+    rng = np.random.default_rng(32)
+    raster = store_raster(make_image(rng.integers(0, 256, (128, 128, 3), dtype=np.uint8)))
+    blob = compress_bytes(raster, PipelineConfig(seed=32))  # 16 patches
+    found = [get() for get in gets]
+    default = decompress_bytes(blob, model)
+    try:
+        for set_threads in sets:
+            set_threads(1)
+        one = decompress_bytes(blob, model)
+    finally:
+        for set_threads, count in zip(sets, found):
+            set_threads(count)
+    assert [get() for get in gets] == found
+    assert one == default
+
+
+def test_server_holds_float32_weights_alone(tmp_path):
+    # reconstruction runs on float32 weights, so the server keeps no float64
+    # copy; it decodes the bytes a float64 checkpoint load decodes
+    server = ReconstructionServer(0, model_blob(), tmp_path / "out")
+    try:
+        params, _ = server.model
+        assert {v.data.dtype for v in params.values()} == {np.dtype(np.float32)}
+        rng = np.random.default_rng(33)
+        raster = store_raster(make_image(rng.integers(0, 256, (32, 64), dtype=np.uint8)))
+        blob = compress_bytes(raster, PipelineConfig(seed=33))
+        want = decompress_bytes(blob, load_checkpoint(model_blob()))
+        assert decompress_bytes(blob, server.model) == want
+    finally:
+        server.stop()
 
 
 def test_blas_pin_without_openblas_does_nothing(monkeypatch):
