@@ -6,11 +6,10 @@ arrays.  A primitive is its forward value plus one vector-Jacobian product
 gradients.  Call backward() on a scalar; gradients accumulate into
 Tensor.grad by rebinding, never in place, so a Tensor.grad may share memory
 with other gradients and is read-only.  A Tensor holds float32 data as
-float32 and widens anything else to float64.  Training, gradient checks and
-checkpoint fine-tuning run in float64, so finite-difference checks are
-meaningful; model reconstruction runs the same primitives in float32.  No
-primitive widens float32 on its own: scalars are Python floats, which take
-the array's precision.
+float32 and widens anything else to float64.  The model trains, fine-tunes
+and reconstructs in float32; gradient checks pass float64 data, so that
+finite differences are meaningful.  No primitive widens float32 on its own:
+scalars are Python floats, which take the array's precision.
 
 Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
 score-sized buffer, the weights, for its backward, and works in place on it

@@ -109,6 +109,8 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
     The multiplicative encoder table starts at 1 + N(0, 0.02) so the early
     combination is near-neutral; the additive decoder table at N(0, 0.02).
+    Values are drawn in float64 and rounded once to float32, the precision
+    the model trains, stores and reconstructs in.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -124,7 +126,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             vals = np.zeros(shape)
         else:
             vals = rng.normal(0.0, 0.02, shape)
-        params[name] = Tensor(vals, requires_grad=True)
+        params[name] = Tensor(vals.astype(np.float32), requires_grad=True)
     return params
 
 
@@ -167,13 +169,13 @@ def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig,
     return ad.layer_norm(x, p[f"{prefix}.ln3.g"], p[f"{prefix}.ln3.b"])
 
 
-def patch_to_tokens(patch: np.ndarray, b: int, dtype=np.float64) -> np.ndarray:
-    """(..., n, n, C) uint8 -> (..., grid**2, b*b*C) float in [0, 1], raster
-    order; float64 for training, float32 for reconstruction."""
+def patch_to_tokens(patch: np.ndarray, b: int) -> np.ndarray:
+    """(..., n, n, C) uint8 -> (..., grid**2, b*b*C) float32 in [0, 1], raster
+    order."""
     *lead, n, _, c = patch.shape
     gs = n // b
     sub = patch.reshape(*lead, gs, b, gs, b, c).swapaxes(-4, -3)
-    return sub.reshape(*lead, gs * gs, b * b * c).astype(dtype) / 255.0
+    return sub.reshape(*lead, gs * gs, b * b * c).astype(np.float32) / 255.0
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
@@ -267,18 +269,17 @@ _SLICE = 4
 
 
 def inference_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """The weights reconstruction runs on: the parameters in float32 (not
-    copied when they already are), as tensors that record no graph."""
-    return {k: Tensor(v.data.astype(np.float32, copy=False)) for k, v in params.items()}
+    """Views of the parameters' arrays, as tensors that record no graph."""
+    return {k: Tensor(v.data) for k, v in params.items()}
 
 
 def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
     """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
     model predictions at erased positions, original pixels everywhere the
-    mask kept them.  The model runs in float32 on the float32 weights (what a
-    checkpoint stores), sees _SLICE patches at a time and writes into the
-    uint8 output, so no other buffer grows with the stack."""
+    mask kept them.  The model runs in float32, sees _SLICE patches at a
+    time and writes into the uint8 output, so no other buffer grows with the
+    stack."""
     out = patches.copy()  # kept pixels pass through exactly
     erased = np.flatnonzero(mask.bits.reshape(-1) == 0)
     if erased.size == 0:
@@ -289,7 +290,7 @@ def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
     r, q = np.divmod(erased, gs)
     view = inference_params(params)
     for i in range(0, len(stack), _SLICE):
-        tokens = Tensor(patch_to_tokens(stack[i:i + _SLICE], b, np.float32))
+        tokens = Tensor(patch_to_tokens(stack[i:i + _SLICE], b))
         pred = forward_tokens(tokens, mask, view, cfg, erased).data
         pixels = _to_uint8(pred).reshape(len(pred), erased.size, b, b, c)
         subs[i:i + _SLICE, r, :, q] = pixels.swapaxes(0, 1)
@@ -382,10 +383,9 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
 def eval_loss(dataset: np.ndarray, cfg: ModelConfig, params: dict[str, Tensor],
               mask: EraseMask) -> float:
     """Mean L1 over a dataset under one fixed mask, no gradient: the
-    training forward in float64 on slices of _SLICE patches, through
-    parameter views that record no graph."""
+    training forward on slices of _SLICE patches, through inference_params."""
     tokens = patch_to_tokens(dataset, cfg.subpatch_b)
-    view = {k: Tensor(v.data) for k, v in params.items()}
+    view = inference_params(params)
     pred = np.concatenate([forward_tokens(Tensor(tokens[i:i + _SLICE]), mask, view, cfg).data
                            for i in range(0, len(tokens), _SLICE)])
     return float(np.abs(pred - tokens).mean())
@@ -453,7 +453,6 @@ def load_checkpoint(data: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
         size = int(np.prod(shape))
         vals = np.frombuffer(data, dtype="<f4", count=size, offset=off)
         off += 4 * size
-        # widened to float64, exactly, for fine-tuning; reconstruction casts
-        # them back to these float32 values
-        params[name] = Tensor(vals.reshape(shape).astype(np.float64), requires_grad=True)
+        # a writable copy in native order, not a read-only view of the blob
+        params[name] = Tensor(vals.reshape(shape).astype(np.float32), requires_grad=True)
     return params, cfg

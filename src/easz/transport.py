@@ -136,12 +136,10 @@ class ReconstructionServer(socketserver.ThreadingTCPServer):
         self.codec = codec
         self.model = None
         if checkpoint is not None:
-            from .model import inference_params, load_checkpoint
+            from .model import load_checkpoint
 
             data = checkpoint if isinstance(checkpoint, bytes) else Path(checkpoint).read_bytes()
-            params, cfg = load_checkpoint(data)
-            # only the float32 weights: no float64 copy, no cast per request
-            self.model = (inference_params(params), cfg)
+            self.model = load_checkpoint(data)
         self._counter = 0
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None

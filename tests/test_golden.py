@@ -3,11 +3,11 @@
 Seed-mode containers already on disk depend on the mask sampler drawing the
 same bits, and store-codec containers on squeeze laying out the same pixels,
 so these SHA-256 digests must never change.  Float model output is not
-frozen (it can differ across BLAS builds).  Reconstruction runs the model in
-float32 on the checkpoint's float32 weights, so reconstruct_grid is instead
-compared, byte for byte, with a per-patch forward through the training-time
-graph on float32 tokens and weights; and at the production config with the
-float64 training forward, within one byte at erased pixels.
+frozen (it can differ across BLAS builds).  The model trains and reconstructs
+in float32, so reconstruct_grid is instead compared, byte for byte, with a
+per-patch forward through the training-time graph; and at the production
+config with the same forward on weights and tokens widened to float64,
+within one byte at erased pixels.
 """
 
 import hashlib
@@ -93,19 +93,15 @@ def test_squeeze_and_containers_frozen(seed):
 def test_reconstruct_grid_matches_reference():
     cfg = ModelConfig(subpatch_b=2, channels=3, d_model=16, grid_side=4,
                       heads=2, ffn_multiplier=2)
-    # float32-exact parameters, widened to float64, as load_checkpoint
-    # returns them; the reference runs on their float32 values, recording a graph
+    # the reference runs on the same loaded parameters, recording a graph
     params, _ = load_checkpoint(save_checkpoint(init_params(cfg, seed=1), cfg))
-    params32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True)
-                for k, v in params.items()}
     rng = np.random.default_rng(2)
     grid = patchify(make_image(rng.integers(0, 256, (14, 24, 3), dtype=np.uint8)), 8, 2)
     mask = generate_row_mask(SamplerParams(4, 4, 2, 0, 1, seed=5))
     out = reconstruct_grid(grid, mask, params, cfg)
     erased = np.kron(1 - mask.bits, np.ones((2, 2), dtype=np.uint8)).astype(bool)
     for patch, got in zip(grid.patches, out.patches):
-        pred = forward_tokens(Tensor(patch_to_tokens(patch, 2, np.float32)), mask,
-                              params32, cfg)
+        pred = forward_tokens(Tensor(patch_to_tokens(patch, 2)), mask, params, cfg)
         assert pred.requires_grad and pred.data.dtype == np.float32
         want = np.where(erased[..., None], tokens_to_patch(pred.data, 2, 3), patch)
         assert np.array_equal(got, want)
@@ -121,7 +117,9 @@ def test_float32_reconstruction_within_a_byte_of_float64():
     patches = rng.integers(0, 256, (16, gs * b, gs * b, c), dtype=np.uint8)
     mask = PipelineConfig(seed=3).make_mask()
     out = decode_and_reconstruct(patches, mask, params, cfg)
-    pred = forward_tokens(Tensor(patch_to_tokens(patches, b)), mask, params, cfg)
+    params64 = {k: Tensor(v.data.astype(np.float64)) for k, v in params.items()}
+    tokens64 = patch_to_tokens(patches, b).astype(np.float64)
+    pred = forward_tokens(Tensor(tokens64), mask, params64, cfg)
     assert pred.data.dtype == np.float64
     erased = np.kron(1 - mask.bits, np.ones((b, b), dtype=np.uint8)).astype(bool)
     assert np.array_equal(out[:, ~erased], patches[:, ~erased])

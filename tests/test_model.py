@@ -284,13 +284,14 @@ def test_forward_tokens_keeps_float32_and_float64_values(tiny_params, erase_all)
     mask = EraseMask(np.zeros((4, 4), dtype=np.uint8)) if erase_all else tiny_mask(t=2)
     rows = np.flatnonzero(mask.bits.reshape(-1) == 0)
     tokens = np.random.default_rng(30).random((2, 16, TINY.token_dim))
-    out64 = forward_tokens(Tensor(tokens), mask, tiny_params, TINY, rows).data
+    params64 = {k: Tensor(v.data.astype(np.float64)) for k, v in tiny_params.items()}
+    out64 = forward_tokens(Tensor(tokens), mask, params64, TINY, rows).data
     assert out64.dtype == np.float64
     if erase_all:
         zeros = Tensor(np.zeros((2, 16, TINY.d_model)))
-        assert np.array_equal(out64, decode(zeros, tiny_params, TINY, rows).data)
-    view = {k: Tensor(v.data.astype(np.float32)) for k, v in tiny_params.items()}
-    out32 = forward_tokens(Tensor(tokens.astype(np.float32)), mask, view, TINY, rows).data
+        assert np.array_equal(out64, decode(zeros, params64, TINY, rows).data)
+    out32 = forward_tokens(Tensor(tokens.astype(np.float32)), mask, tiny_params, TINY,
+                           rows).data
     assert out32.dtype == np.float32
     assert np.allclose(out32, out64, rtol=1e-5, atol=1e-6)
 
@@ -349,20 +350,70 @@ def test_train_deterministic_trace():
 
 def test_checkpoint_roundtrip():
     params = init_params(TINY, seed=3)
-    for p in params.values():  # make values float32-exact first
-        p.data = p.data.astype(np.float32)
     blob = save_checkpoint(params, TINY)
     loaded, cfg = load_checkpoint(blob)
     assert cfg == TINY
     for name in params:
-        assert loaded[name].data.dtype == np.float64
+        assert loaded[name].data.dtype == np.float32
         assert np.array_equal(loaded[name].data, params[name].data)
     assert save_checkpoint(loaded, cfg) == blob
-    # fine-tuning from a checkpoint runs in float64 throughout
+    # fine-tuning from a checkpoint runs in float32 throughout
     rng = np.random.default_rng(18)
     data = rng.integers(0, 256, (4, 8, 8, 1), dtype=np.uint8)
     tuned, _ = train(data, TINY, TrainSettings(steps=1, batch_size=4), params=loaded)
-    assert all(p.grad.dtype == np.float64 for p in tuned.values())
+    assert all(p.grad.dtype == np.float32 for p in tuned.values())
+
+
+def test_served_weights_are_trained_weights():
+    # training, fine-tuning and the checkpoint share one precision, so
+    # saving rounds nothing: the server runs the trained values bit for bit
+    rng = np.random.default_rng(34)
+    data = rng.integers(0, 256, (8, 8, 8, 1), dtype=np.uint8)
+    settings = TrainSettings(steps=2, batch_size=4, seed=4)
+    trained, _ = train(data, TINY, settings)
+    loaded, _ = load_checkpoint(save_checkpoint(trained, TINY))
+    tuned, _ = train(data, TINY, settings, params=loaded)
+    for params in (trained, tuned):
+        served, _ = load_checkpoint(save_checkpoint(params, TINY))
+        for name, p in params.items():
+            assert p.data.dtype == p.grad.dtype == np.float32
+            assert np.array_equal(served[name].data, p.data)
+
+
+def test_decode_makes_no_copy_of_loaded_weights():
+    # the loaded arrays are the decode weights themselves; they are
+    # writable for fine-tuning, so they must not be views of the blob
+    blob = save_checkpoint(init_params(TINY, seed=0), TINY)
+    loaded, _ = load_checkpoint(blob)
+    view = easz_model.inference_params(loaded)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    for name, p in loaded.items():
+        assert np.shares_memory(view[name].data, p.data)
+        assert p.data.flags.writeable
+        assert not np.shares_memory(p.data, raw)
+
+
+def test_float64_params_train_and_check_gradients_in_float64():
+    # gradient checks (criterion 06) widen the parameters; the model must
+    # then run in float64, or finite differences drown in float32 rounding
+    params = {k: Tensor(v.data.astype(np.float64), requires_grad=True)
+              for k, v in init_params(TINY, seed=6).items()}
+    rng = np.random.default_rng(35)
+    data = rng.integers(0, 256, (4, 8, 8, 1), dtype=np.uint8)
+    trained, _ = train(data, TINY, TrainSettings(steps=2, batch_size=4), params=params)
+    assert all(p.data.dtype == p.grad.dtype == np.float64 for p in trained.values())
+    mask = tiny_mask()
+    tokens = Tensor(rng.random((16, TINY.token_dim)))
+    target = Tensor(rng.random((16, TINY.token_dim)))
+
+    def model_loss(_p):
+        pred = forward_tokens(tokens, mask, trained, TINY)
+        assert pred.data.dtype == np.float64
+        d = ad.add(pred, ad.scale(target, -1.0))
+        return ad.tsum(ad.mul(d, d))
+
+    for name in ("proj_in.w", "enc0.ln1.g", "dec1.ffn.b2", "proj_out.b"):
+        assert ad.grad_check(model_loss, trained[name], eps=1e-3, order=4) <= 1e-4, name
 
 
 def test_checkpoint_truncated():
