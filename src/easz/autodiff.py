@@ -9,7 +9,9 @@ with other gradients and is read-only.  A Tensor holds float32 data as
 float32 and widens anything else to float64.  The model trains, fine-tunes
 and reconstructs in float32; gradient checks pass float64 data, so that
 finite differences are meaningful.  No primitive widens float32 on its own:
-scalars are Python floats, which take the array's precision.
+scalars are Python floats, which take the array's precision.  GELU's erf is
+a rational approximation within 4.5e-7 in float32 and math.erf in float64,
+so numpy is the only dependency.
 
 Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
 score-sized buffer, the weights, for its backward, and works in place on it
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionError, TrainingError
 
@@ -254,11 +255,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
                (v, lambda g: w.swapaxes(-1, -2) @ g))
 
 
+# Eigen's and XLA's float32 erf: x * P(x²) / Q(x²) on x clamped to [-4, 4],
+# beyond which erf rounds to ±1 in float32.  Highest power first.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _horner(x2: np.ndarray, coeffs: tuple, out=None) -> np.ndarray:
+    acc = np.multiply(x2, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x2
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of float32 x by the rational approximation (within 4.5e-7),
+    clamping x in place; of float64 x by math.erf, element by element."""
+    if x.dtype != np.float32:
+        return _math_erf(x).astype(np.float64)
+    np.clip(x, -4.0, 4.0, out=x)
+    x2 = x * x
+    p = _horner(x2, _ERF_P)
+    p *= x
+    p /= _horner(x2, _ERF_Q, out=x)  # x is spent: Q(x²) takes its buffer
+    return p
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF; Phi is the one
-    temporary, and the VJP builds its result in one buffer."""
-    phi = x.data / math.sqrt(2.0)
-    erf(phi, out=phi)
+    """GELU: x * Phi(x) with the Gaussian CDF; Phi's erf is within 4.5e-7 in
+    float32 and math.erf's in float64.  The VJP builds its result in one
+    buffer."""
+    phi = _erf(x.data / math.sqrt(2.0))
     phi += 1.0
     phi *= 0.5
 

@@ -99,7 +99,7 @@ def decompress_bytes(frame: bytes, model=None,
     clock.lap("codec_decode")
     grid = unsqueeze_grid(sq, mask)
     if model is not None and sq.erased_per_row > 0:
-        # lazy: the model pulls in scipy (~0.3 s, ~26 MB), which the edge path must not pay for
+        # lazy: the edge path never loads the model code, which takes ~20 ms to import
         from .model import reconstruct_grid
 
         params, mcfg = model

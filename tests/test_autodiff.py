@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from easz import autodiff as ad
 from easz.autodiff import AdamW, Tensor, grad_check
@@ -15,6 +14,11 @@ def rng():
     """A generator of the test's own, so that its data do not depend on
     which tests ran before it."""
     return np.random.default_rng(0)
+
+
+def erf(x):
+    """Reference erf for float64 arrays, element by element."""
+    return np.frompyfunc(math.erf, 1, 1)(x).astype(np.float64)
 
 
 def t(rng, shape, grad=True):
@@ -133,6 +137,18 @@ def test_grad_check_layer_norm(shape, rng):
 @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 5)])
 def test_grad_check_gelu(shape, rng):
     assert grad_check(lambda x: ad.tsum(ad.gelu(x)), t(rng, shape)) < 1e-6
+
+
+def test_gelu_float32_within_bound_of_exact():
+    # float32 GELU's erf is a rational approximation clamped at |x/√2| = 4;
+    # the grid runs past the clamp, and a wrong coefficient breaks the bound
+    x = np.linspace(-8.0, 8.0, 2**18 + 1, dtype=np.float32)
+    out = ad.gelu(Tensor(x)).data
+    assert out.dtype == np.float32
+    x64 = x.astype(np.float64)
+    want = x64 * (0.5 * (1.0 + erf(x64 / np.sqrt(2.0))))
+    assert np.all(np.abs(out - want) <= 5e-7 * np.maximum(1.0, np.abs(x64)))
+    assert np.array_equal(ad._erf(-x), -ad._erf(x.copy()))
 
 
 def test_gelu_layer_norm_match_out_of_place_bitwise():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -214,6 +215,33 @@ def test_cli_loads_server_module_only_to_serve_or_send():
     proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "[]", proc.stderr
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the only dependency: train, compress and a model decode run
+    # where importing scipy fails
+    rng = np.random.default_rng(5)
+    data_dir = tmp_path / "patches"
+    data_dir.mkdir()
+    for i in range(4):
+        img = make_image(rng.integers(0, 256, (16, 16, 1), dtype=np.uint8))
+        (data_dir / f"p{i}.pgm").write_bytes(store_raster(img))
+    src, ckpt = tmp_path / "img.pgm", tmp_path / "m.ckpt"
+    cont, back = tmp_path / "img.easz", tmp_path / "back.pgm"
+    src.write_bytes(store_raster(make_image(rng.integers(0, 256, (16, 16, 1), dtype=np.uint8))))
+    runs = [["train", "--data", str(data_dir), "--steps", "1", "--b", "2", "--batch", "4",
+             "--d-model", "16", "--heads", "2", "--out", str(ckpt)],
+            ["compress", str(src), "--n", "16", "--b", "2", "--T", "2", "--out", str(cont)],
+            ["decompress", str(cont), "--checkpoint", str(ckpt), "--out", str(back)]]
+    pkg = str(Path(easz.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [pkg, os.environ.get("PYTHONPATH")]))}
+    child = ("import json, sys; sys.modules['scipy'] = None; from easz.cli import main; "
+             "print([main(argv) for argv in json.loads(sys.argv[1])])")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip().splitlines()[-1:] == ["[0, 0, 0]"], proc.stderr
+    assert load_raster(back.read_bytes()).pixels.shape == (16, 16, 1)
 
 
 def test_decompress_all_erased_with_checkpoint(tmp_path, raster64):

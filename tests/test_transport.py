@@ -247,8 +247,8 @@ def test_decoded_bytes_do_not_depend_on_blas_threads():
 
 
 def test_server_holds_float32_weights_alone(tmp_path):
-    # reconstruction runs on float32 weights, so the server keeps no float64
-    # copy; it decodes the bytes a float64 checkpoint load decodes
+    # reconstruction runs on float32 weights, so the server keeps no second
+    # copy; it decodes the bytes a fresh checkpoint load decodes
     server = ReconstructionServer(0, model_blob(), tmp_path / "out")
     try:
         params, _ = server.model
