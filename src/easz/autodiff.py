@@ -16,6 +16,11 @@ so numpy is the only dependency.
 Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
 score-sized buffer, the weights, for its backward, and works in place on it
 and on its gradient, in the same floating-point order as the unfused chain.
+
+A stack of rows times a 2-D weight is one 2-D GEMM over the folded rows,
+which numpy runs faster than its per-matrix loop; the weight's gradient
+keeps the per-matrix products and their sum.  GELU evaluates its erf in
+fixed blocks, so its temporaries do not grow with the input.
 """
 
 from __future__ import annotations
@@ -128,14 +133,25 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _op(a.data * s, (a, lambda g: g * s))
 
 
+def _folded(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for a 2-D w, as one 2-D product over x's leading axes folded
+    into rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.  With a 2-D b (a weight), the product and the a gradient are
+    each one 2-D GEMM over a's folded leading axes.  The b gradient stays
+    one product per leading index, summed afterwards: folding it as well
+    changes its summation order, and so training's float32 results."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+    product = _folded if b.data.ndim == 2 else np.matmul
     try:
-        data = a.data @ b.data
+        data = product(a.data, b.data)
     except ValueError:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape}") from None
-    return _op(data, (a, lambda g: g @ b.data.swapaxes(-1, -2)),
+    return _op(data, (a, lambda g: product(g, b.data.swapaxes(-1, -2))),
                (b, lambda g: a.data.swapaxes(-1, -2) @ g))
 
 
@@ -274,26 +290,45 @@ def _horner(x2: np.ndarray, coeffs: tuple, out=None) -> np.ndarray:
     return acc
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """erf of float32 x by the rational approximation (within 4.5e-7),
-    clamping x in place; of float64 x by math.erf, element by element."""
+    clamping x in place; of float64 x by math.erf, element by element.
+    Written into out when given."""
     if x.dtype != np.float32:
-        return _math_erf(x).astype(np.float64)
+        if out is None:
+            return _math_erf(x).astype(np.float64)
+        out[...] = _math_erf(x)
+        return out
     np.clip(x, -4.0, 4.0, out=x)
     x2 = x * x
-    p = _horner(x2, _ERF_P)
+    p = _horner(x2, _ERF_P, out=out)
     p *= x
     p /= _horner(x2, _ERF_Q, out=x)  # x is spent: Q(x²) takes its buffer
     return p
 
 
+# Elements of GELU's input per erf evaluation; the erf's two temporaries are
+# block-sized, not input-sized.  In one 128x128 RGB decode at slices of 8
+# patches (one BLAS thread), 2**16 gave a traced peak of 3.26 MB at 30.9-31.4
+# ms; 2**15 3.01 MB at 32.4-32.6 ms; 2**17 3.76 MB at 31.9-34.6 ms.
+_GELU_BLOCK = 1 << 16
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU: x * Phi(x) with the Gaussian CDF; Phi's erf is within 4.5e-7 in
-    float32 and math.erf's in float64.  The VJP builds its result in one
-    buffer."""
-    phi = _erf(x.data / math.sqrt(2.0))
-    phi += 1.0
-    phi *= 0.5
+    float32 and math.erf's in float64.  Phi is evaluated block by block into
+    one buffer, which becomes the output in place when x records no graph,
+    since then no VJP keeps Phi.  The VJP builds its result in one buffer."""
+    flat = x.data.reshape(-1)
+    phi = np.empty_like(flat)
+    out = np.empty_like(flat) if x.requires_grad else phi
+    for i in range(0, flat.size, _GELU_BLOCK):
+        xb, pb = flat[i:i + _GELU_BLOCK], phi[i:i + _GELU_BLOCK]
+        _erf(xb / math.sqrt(2.0), out=pb)
+        pb += 1.0
+        pb *= 0.5
+        np.multiply(xb, pb, out=out[i:i + _GELU_BLOCK])
+    phi = phi.reshape(x.shape)
 
     def vjp(g):
         d = x.data**2
@@ -305,7 +340,7 @@ def gelu(x: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _op(x.data * phi, (x, vjp))
+    return _op(out.reshape(x.shape), (x, vjp))
 
 
 def mean_abs_error(x: Tensor, y: Tensor) -> Tensor:

@@ -157,10 +157,13 @@ def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig,
     out: every position still gives keys and values, but the queries and
     everything after attention run on rows alone."""
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    q_in = h
-    if rows is not None:
-        x, q_in = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
-    x = ad.add(x, _attention(q_in, h, p, f"{prefix}.attn", cfg))
+    # h goes by no other name, so that without a graph it is freed as soon
+    # as the second norm rebinds h, not when the block returns
+    if rows is None:
+        x = ad.add(x, _attention(h, h, p, f"{prefix}.attn", cfg))
+    else:
+        x = ad.add(ad.gather_rows(x, rows),
+                   _attention(ad.gather_rows(h, rows), h, p, f"{prefix}.attn", cfg))
     h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     h = ad.linear(h, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"])
     h = ad.gelu(h)
@@ -205,6 +208,7 @@ def embed(tokens: Tensor, positions: np.ndarray, params: dict[str, Tensor],
 
 def encode(embeddings: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     x = embeddings
+    del embeddings  # so that x alone holds it, and it goes once the first block is done
     for i in range(_BLOCKS):
         x = _block(x, params, f"enc{i}", cfg)
     return x
@@ -231,6 +235,7 @@ def decode(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     positions, which arrive as exact zero vectors, stay distinguishable.
     """
     x = ad.add(tokens, params["pos_dec"])
+    del tokens  # dead from here on; without a graph, nothing else holds it
     for i in range(_BLOCKS):
         x = _block(x, params, f"dec{i}", cfg, rows if i == _BLOCKS - 1 else None)
     return ad.linear(x, params["proj_out.w"], params["proj_out.b"])
@@ -247,25 +252,25 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
     """
     kept_idx = np.flatnonzero(mask.bits.reshape(-1))
     if kept_idx.size == 0:
-        full = Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model),
-                               dtype=tokens.data.dtype))
-    else:
-        kept = ad.gather_rows(tokens, kept_idx)
-        emb = embed(kept, kept_idx, params, cfg)
-        feats = encode(emb, params, cfg)
-        full = assemble(feats, mask)
-    return decode(full, params, cfg, rows)
+        return decode(Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model),
+                                      dtype=tokens.data.dtype)), params, cfg, rows)
+    # each stage's output goes straight into the next call, so that without a
+    # graph no name here keeps it alive while later stages run
+    return decode(assemble(encode(embed(ad.gather_rows(tokens, kept_idx), kept_idx, params, cfg),
+                                  params, cfg), mask), params, cfg, rows)
 
 
-# Patches per forward_tokens call at inference, from perfbench server_decode
-# (two connections, 128x128 RGB, default_config in float32, 2-vCPU host,
-# OpenBLAS on one thread as the server runs it, the last decoder block and
-# proj_out on erased positions only).  4 alternating pairs of slices of 4 and
-# 8 patches: 34.3-39.6 against 36.8-41.4 requests/s (8 ahead in 3 pairs, even
-# in one), median latency 47-56 against 46-51 ms, server peak RSS 73.4-76.5
-# against 81.6-87.5 MB.  8 is a little faster but raises the server's peak
-# by 8-14 MB, so the slice stays 4.
-_SLICE = 4
+# Patches per forward_tokens call at inference.  perfbench server_decode (two
+# connections, 128x128 RGB, default_config in float32, 2-vCPU host, OpenBLAS
+# on one thread as the server runs it), alternating pairs of slices of 4 on
+# per-patch GEMMs and an unblocked GELU against slices of 8 on folded GEMMs
+# and a blocked GELU: seed 0, 4 pairs, 34.8-38.2 against 43.2-44.2 requests/s;
+# seed 7919, 3 pairs, 35.9-36.7 against 40.6-45.4; server peak RSS
+# 49.1-49.5 against 50.9-55.1 MB (median 51.1).  The traced peak of one
+# in-process decode went 2.93 -> 3.26 MB; slices of 8 on the per-patch GEMMs
+# peaked at 5.71 MB, and 16 on the folded ones at 5.83 MB for no measured
+# gain.
+_SLICE = 8
 
 
 def inference_params(params: dict[str, Tensor]) -> dict[str, Tensor]:

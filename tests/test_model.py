@@ -198,9 +198,11 @@ def test_inference_records_no_graph(tiny_params, monkeypatch):
 
 
 def test_reconstruct_grid_slices_match_single_patches(tiny_params):
-    # 3 patches: the last forward slice is partial
+    # _SLICE + 3 patches: one whole forward slice, then a partial one
     rng = np.random.default_rng(19)
-    grid = patchify(make_image(rng.integers(0, 256, (8, 24), dtype=np.uint8)), 8, 2)
+    width = 8 * (easz_model._SLICE + 3)
+    grid = patchify(make_image(rng.integers(0, 256, (8, width), dtype=np.uint8)), 8, 2)
+    assert len(grid.patches) == easz_model._SLICE + 3
     mask = tiny_mask(t=2)
     out = reconstruct_grid(grid, mask, tiny_params, TINY)
     for patch, got in zip(grid.patches, out.patches):
@@ -208,9 +210,9 @@ def test_reconstruct_grid_slices_match_single_patches(tiny_params):
 
 
 def test_eval_loss_slices_match_whole_batch(tiny_params):
-    # 3 patches: the last slice is partial
+    # _SLICE + 3 patches: one whole slice, then a partial one
     rng = np.random.default_rng(23)
-    data = rng.integers(0, 256, (3, 8, 8, 1), dtype=np.uint8)
+    data = rng.integers(0, 256, (easz_model._SLICE + 3, 8, 8, 1), dtype=np.uint8)
     mask = tiny_mask(t=2)
     tokens = patch_to_tokens(data, TINY.subpatch_b)
     whole = forward_tokens(Tensor(tokens), mask, tiny_params, TINY).data
