@@ -13,11 +13,12 @@ scalars are Python floats, which take the array's precision.  GELU's erf is
 a rational approximation within 4.5e-7 in float32 and math.erf in float64,
 so numpy is the only dependency.
 
-Attention is one primitive: softmax(scale * q @ kᵀ) @ v keeps a single
-score-sized buffer, the weights, for its backward, and works in place on it
-and on its gradient, in the same floating-point order as the unfused chain.
+Multi-head attention is one primitive over rows, and the only code that
+knows the head layout.  It keeps a single score-sized buffer, the weights,
+for its backward, and works in place on it and on its gradient, in the same
+floating-point order as the unfused chain.
 
-A stack of rows times a 2-D weight is one 2-D GEMM over the folded rows,
+matmul multiplies rows by a 2-D weight: one 2-D GEMM over the folded rows,
 which numpy runs faster than its per-matrix loop; the weight's gradient
 keeps the per-matrix products and their sum.  GELU evaluates its erf in
 fixed blocks, so its temporaries do not grow with the input.
@@ -139,20 +140,19 @@ def _folded(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.  With a 2-D b (a weight), the product and the a gradient are
-    each one 2-D GEMM over a's folded leading axes.  The b gradient stays
-    one product per leading index, summed afterwards: folding it as well
-    changes its summation order, and so training's float32 results."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    product = _folded if b.data.ndim == 2 else np.matmul
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """a @ w for a 2-D w (a weight).  The product and the a gradient are each
+    one 2-D GEMM over a's folded leading axes.  The w gradient stays one
+    product per leading index, summed afterwards: folding it as well changes
+    its summation order, and so training's float32 results."""
+    if a.data.ndim < 2 or w.data.ndim != 2:
+        raise DimensionError(f"matmul needs >=2-d rows and a 2-d weight: {a.shape} @ {w.shape}")
     try:
-        data = product(a.data, b.data)
+        data = _folded(a.data, w.data)
     except ValueError:
-        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape}") from None
-    return _op(data, (a, lambda g: product(g, b.data.swapaxes(-1, -2))),
-               (b, lambda g: a.data.swapaxes(-1, -2) @ g))
+        raise DimensionError(f"matmul: shapes {a.shape} and {w.shape}") from None
+    return _op(data, (a, lambda g: _folded(g, w.data.T)),
+               (w, lambda g: a.data.swapaxes(-1, -2) @ g))
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -195,15 +195,6 @@ def scatter_rows(x: Tensor, indices: np.ndarray, total_rows: int) -> Tensor:
     return _op(data, (x, lambda g: np.take(g, idx, axis=-2)))
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    return _op(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
-
-
-def transpose(x: Tensor, axes: tuple) -> Tensor:
-    inv = np.argsort(axes)
-    return _op(x.data.transpose(axes), (x, lambda g: g.transpose(inv)))
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last dim to zero mean / unit variance, then affine.
 
@@ -231,34 +222,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _op(out, (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(scale * q @ kᵀ) @ v over the last two axes.
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., m, d) rows as a (..., heads, m, d / heads) view."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
 
-    q is (..., mq, dk), k is (..., mk, dk) and v is (..., mk, dv); mq may be
-    smaller than mk.  The scores are scaled and softmaxed in place, and that
-    one buffer of weights is all the VJPs keep.  The backward forms g @ vᵀ
-    once and turns it in place into the score gradient, which the q and k
-    edges share; the k edge drops it.
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(..., heads, m, dh) as (..., m, heads * dh) rows; the inverse of _heads."""
+    return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q @ kᵀ / sqrt(dh)) @ v over rows.
+
+    q is (..., mq, d), k is (..., mk, d) and v is (..., mk, dv); mq may be
+    smaller than mk, and either may be 0.  The last axes split into `heads`
+    heads of dh = d / heads columns, and the heads' outputs merge back into
+    rows, as views inside this primitive alone.  The scores are scaled and
+    softmaxed in place, and that one buffer of weights is all the VJPs keep.
+    The backward forms g @ vᵀ once and turns it in place into the score
+    gradient, which the q and k edges share; the k edge drops it.
     """
-    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
-        raise DimensionError(
-            f"attention needs >=2-d operands, got {q.shape}, {k.shape}, {v.shape}")
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2 or not 1 <= heads <= q.shape[-1]:
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape}, {heads} heads")
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
     try:
-        w = q.data @ k.data.swapaxes(-1, -2)
+        qh, kh, vh = (_heads(x.data, heads) for x in (q, k, v))
+        w = qh @ kh.swapaxes(-1, -2)
         w *= scale
-        w -= w.max(axis=-1, keepdims=True)
+        w -= w.max(axis=-1, keepdims=True, initial=-np.inf)  # -inf: no keys
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        out = w @ v.data
+        out = _rows(w @ vh)
     except ValueError:
-        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape}") from None
+        raise DimensionError(
+            f"attention: shapes {q.shape}, {k.shape}, {v.shape}, {heads} heads") from None
     shared = []  # the score gradient, from the q edge to the k edge
     share = q.requires_grad and k.requires_grad
 
     def score_grad(g):
         if shared:
             return shared.pop()
-        gs = g @ v.data.swapaxes(-1, -2)
+        gs = _heads(g, heads) @ vh.swapaxes(-1, -2)
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         gs *= w
         gs *= scale
@@ -266,9 +271,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             shared.append(gs)
         return gs
 
-    return _op(out, (q, lambda g: score_grad(g) @ k.data),
-               (k, lambda g: (q.data.swapaxes(-1, -2) @ score_grad(g)).swapaxes(-1, -2)),
-               (v, lambda g: w.swapaxes(-1, -2) @ g))
+    return _op(out, (q, lambda g: _rows(score_grad(g) @ kh)),
+               (k, lambda g: _rows((qh.swapaxes(-1, -2) @ score_grad(g)).swapaxes(-1, -2))),
+               (v, lambda g: _rows(w.swapaxes(-1, -2) @ _heads(g, heads))))
 
 
 # Eigen's and XLA's float32 erf: x * P(x²) / Q(x²) on x clamped to [-4, 4],

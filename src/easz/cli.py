@@ -152,13 +152,12 @@ def cmd_bench(args) -> int:
     img = load_raster(raster)
     model = _load_model(args.checkpoint)
     baseline = len(raster)
-    t_values = [int(t) for t in args.T_list.split(",")]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     out.write("# easz bench csv v1\n")
     writer = csv.writer(out)
     writer.writerow(["T", "container_bytes", "bpp", "psnr", "ssim",
                      "saving_ratio"] + [f"{s}_ms" for s in STAGES])
-    for t in t_values:
+    for t in args.T_list:
         cfg = replace(cfg0, erased_per_row=t)
         timings = StageTimings()
         start = time.perf_counter()
@@ -183,6 +182,14 @@ def cmd_bench(args) -> int:
         out.close()
         print(f"wrote {args.out}")
     return 0
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[mask, codec],
     )
     p.add_argument("image")
-    p.add_argument("--T-list", default="0,1,2,4")
+    p.add_argument("--T-list", type=_int_list, default="0,1,2,4",
+                   help="comma-separated values of T to sweep")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--attn-cost", action="store_true",
                    help="append the attention-cost estimate as a comment row")

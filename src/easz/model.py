@@ -41,8 +41,9 @@ class ModelConfig:
     ffn_multiplier: int = 4
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ParameterError(f"heads must be >= 1, got {self.heads}")
+        for name in ("subpatch_b", "d_model", "grid_side", "heads", "ffn_multiplier"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ParameterError(
                 f"d_model={self.d_model} not divisible by heads={self.heads}"
@@ -133,22 +134,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 def _attention(q_in: Tensor, x: Tensor, p: dict[str, Tensor], prefix: str,
                cfg: ModelConfig) -> Tensor:
     """Multi-head attention of the rows of q_in over the rows of x, along the
-    second-to-last axis; self-attention when q_in is x."""
-    d, h = cfg.d_model, cfg.heads
-    dh = d // h
-    lead = x.shape[:-2]
+    second-to-last axis; self-attention when q_in is x.  The projections
+    stay (..., m, d_model) rows; ad.attention splits them into heads."""
     q = ad.linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     k = ad.matmul(x, p[f"{prefix}.wk"])
     v = ad.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-
-    def split(t):  # (..., m, d) -> (..., h, m, dh)
-        return ad.transpose(ad.reshape(t, lead + (t.shape[-2], h, dh)), perm)
-
-    ctx = ad.attention(split(q), split(k), split(v), 1.0 / math.sqrt(dh))  # (..., h, mq, dh)
-    ctx = ad.transpose(ctx, perm)  # (..., mq, h, dh)
-    ctx = ad.reshape(ctx, lead + (q_in.shape[-2], d))
-    return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    return ad.linear(ad.attention(q, k, v, cfg.heads), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _block(x: Tensor, p: dict[str, Tensor], prefix: str, cfg: ModelConfig,
@@ -247,13 +238,10 @@ def forward_tokens(tokens: Tensor, mask: EraseMask, params: dict[str, Tensor],
 
     The output holds the positions listed in rows (ascending indices into
     the grid), or every position when rows is None, as in training.  With
-    every position erased the encoder has nothing to attend over, so the
-    decoder sees the all-zero grid plus pos_dec.
+    every position erased the encoder runs on no rows, and the decoder sees
+    the all-zero grid plus pos_dec.
     """
     kept_idx = np.flatnonzero(mask.bits.reshape(-1))
-    if kept_idx.size == 0:
-        return decode(Tensor(np.zeros(tokens.shape[:-2] + (mask.bits.size, cfg.d_model),
-                                      dtype=tokens.data.dtype)), params, cfg, rows)
     # each stage's output goes straight into the next call, so that without a
     # graph no name here keeps it alive while later stages run
     return decode(assemble(encode(embed(ad.gather_rows(tokens, kept_idx), kept_idx, params, cfg),
@@ -360,6 +348,8 @@ def train(dataset: np.ndarray, cfg: ModelConfig, settings: TrainSettings,
     want = (cfg.grid_side * cfg.subpatch_b,) * 2 + (cfg.channels,)
     if dataset.shape[1:] != want:
         raise DimensionError(f"dataset patches {dataset.shape[1:]}, config wants {want}")
+    if settings.batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {settings.batch_size}")
     rng = np.random.default_rng(settings.seed)
     if params is None:
         params = init_params(cfg, seed=settings.seed)

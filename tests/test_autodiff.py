@@ -37,6 +37,13 @@ def test_matmul_shape_error(rng):
         ad.matmul(t(rng, (2, 3)), t(rng, (2, 3)))
 
 
+@pytest.mark.parametrize("w_shape", [(2, 3, 4), (3,), ()])
+def test_matmul_needs_a_2d_weight(w_shape, rng):
+    # rows times a weight is the only product the model takes
+    with pytest.raises(DimensionError):
+        ad.matmul(t(rng, (2, 5, 3)), t(rng, w_shape))
+
+
 def test_layer_norm_constant_vector():
     x = Tensor(np.full((1, 8), 3.7))
     gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
@@ -44,28 +51,59 @@ def test_layer_norm_constant_vector():
     assert np.allclose(out.data, 0.0)
 
 
+def _split(x, h):
+    """(..., m, h*dh) rows as the (..., h, m, dh) head view."""
+    return x.reshape(x.shape[:-1] + (h, x.shape[-1] // h)).swapaxes(-2, -3)
+
+
+def _merge(x):
+    """(..., h, m, dh) heads as (..., m, h*dh) rows."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
 def test_attention_uniform_over_equal_keys(rng):
-    # equal scores give every key the same weight, so each query gets the mean value
-    v = t(rng, (4, 3), grad=False)
-    out = ad.attention(t(rng, (2, 5), grad=False), Tensor(np.zeros((4, 5))), v, 0.7)
-    assert np.allclose(out.data, np.broadcast_to(v.data.mean(axis=0), (2, 3)))
+    # equal scores give every key the same weight in every head, so each
+    # query row gets the mean value row
+    v = t(rng, (4, 6), grad=False)
+    out = ad.attention(t(rng, (2, 10), grad=False), Tensor(np.zeros((4, 10))), v, 2)
+    assert np.allclose(out.data, np.broadcast_to(v.data.mean(axis=0), (2, 6)))
 
 
 def test_attention_weights_sum_to_one(rng):
-    # with identity values the output rows are the attention weights
-    out = ad.attention(t(rng, (5, 3), grad=False), t(rng, (7, 3), grad=False),
-                       Tensor(np.eye(7)), 0.9)
+    # with identity values in each head, each head's output is its weights
+    out = ad.attention(t(rng, (5, 6), grad=False), t(rng, (7, 6), grad=False),
+                       Tensor(np.hstack([np.eye(7)] * 3)), 3)
+    assert out.shape == (5, 21)
     assert (out.data >= 0).all()
-    assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(out.data.reshape(5, 3, 7).sum(axis=-1) - 1.0).max() < 1e-12
 
 
 def test_attention_shape_errors(rng):
-    with pytest.raises(DimensionError):
-        ad.attention(t(rng, (2, 3)), t(rng, (4, 5)), t(rng, (4, 2)), 1.0)
-    with pytest.raises(DimensionError):
-        ad.attention(t(rng, (2, 3)), t(rng, (4, 3)), t(rng, (5, 2)), 1.0)
-    with pytest.raises(DimensionError):
-        ad.attention(t(rng, (3,)), t(rng, (4, 3)), t(rng, (4, 2)), 1.0)
+    for shapes, heads in [
+        (((2, 3), (4, 5), (4, 2)), 1),  # q and k widths differ
+        (((2, 3), (4, 3), (5, 2)), 1),  # k and v row counts differ
+        (((3,), (4, 3), (4, 2)), 1),  # a 1-d operand
+        (((2, 6), (4, 6), (4, 6)), 4),  # heads do not divide d
+        (((2, 6), (4, 6), (4, 3)), 2),  # heads do not divide v's width
+        (((2, 6), (4, 6), (4, 6)), 0),
+        (((2, 6), (4, 6), (4, 6)), 7),  # more heads than columns
+    ]:
+        with pytest.raises(DimensionError):
+            ad.attention(*(t(rng, s) for s in shapes), heads)
+
+
+@pytest.mark.parametrize("mq, mk", [(3, 0), (0, 5), (0, 0)])
+def test_attention_over_empty_rows(mq, mk, rng):
+    # no keys: every output row is zero (the empty sum), as for an all-erased
+    # patch's encoder; no queries: no output rows.  Gradients keep the shapes.
+    q, k, v = t(rng, (2, mq, 4)), t(rng, (2, mk, 4)), t(rng, (2, mk, 6))
+    with np.errstate(all="raise"):
+        out = ad.attention(q, k, v, 2)
+        ad.tsum(ad.mul(out, Tensor(rng.normal(size=(2, mq, 6))))).backward()
+    assert out.shape == (2, mq, 6) and not out.data.any()
+    for x in (q, k, v):
+        assert x.grad.shape == x.shape and not x.grad.any()
 
 
 def test_simple_closed_form_gradient():
@@ -275,13 +313,14 @@ def test_gelu_layer_norm_match_out_of_place_bitwise():
 
 @pytest.mark.parametrize("edge", ["q", "k", "v"])
 def test_grad_check_attention(edge, rng):
-    # 4-D leading dims, fewer query rows than key rows, a scale off the powers of two
-    qkv = {"q": t(rng, (2, 2, 3, 4)), "k": t(rng, (2, 2, 5, 4)), "v": t(rng, (2, 2, 5, 3))}
-    w = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    # two leading dims, fewer query rows than key rows, two heads of width 3
+    # (a scale off the powers of two), v narrower than q and k
+    qkv = {"q": t(rng, (2, 2, 3, 6)), "k": t(rng, (2, 2, 5, 6)), "v": t(rng, (2, 2, 5, 4))}
+    w = Tensor(rng.normal(size=(2, 2, 3, 4)))
 
     def f(x):
         args = dict(qkv, **{edge: x})
-        return ad.tsum(ad.mul(ad.attention(args["q"], args["k"], args["v"], 0.37), w))
+        return ad.tsum(ad.mul(ad.attention(args["q"], args["k"], args["v"], 2), w))
 
     # the five-point stencil: some k and q coordinates are small enough that
     # the two-point difference's roundoff alone nears the bound
@@ -291,10 +330,10 @@ def test_grad_check_attention(edge, rng):
 def test_attention_keeps_one_score_buffer(rng):
     # the graph holds the weights and the output; the unfused chain held
     # three score-sized arrays (raw, scaled, softmaxed)
-    q, k, v = (t(rng, (8, 2, 256, 16)) for _ in range(3))
+    q, k, v = (t(rng, (8, 256, 32)) for _ in range(3))
     tracemalloc.start()
     try:
-        out = ad.attention(q, k, v, 0.25)
+        out = ad.attention(q, k, v, 2)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -329,20 +368,19 @@ ATTENTION_SHAPES = [(8, 2, 256, 256, 16), (4, 4, 48, 48, 32), (4, 4, 64, 64, 32)
 
 @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
 def test_attention_matches_composed_chain_bitwise(shape):
+    # the unfused chain runs on the head views of (n, m, h*dh) projections,
+    # its results merged back into rows
     n, h, mq, mk, dh = shape
     r = np.random.default_rng(list(shape))
-
-    def heads(m):  # the (n, h, m, dh) head view of an (n, m, h*dh) projection
-        return r.normal(size=(n, m, h, dh)).transpose(0, 2, 1, 3)
-
-    q, k, v = (Tensor(heads(m), requires_grad=True) for m in (mq, mk, mk))
-    g = r.normal(size=(n, h, mq, dh))
-    scale = 1.0 / np.sqrt(dh)
-    out = ad.attention(q, k, v, scale)
+    q, k, v = (Tensor(r.normal(size=(n, m, h * dh)), requires_grad=True)
+               for m in (mq, mk, mk))
+    g = r.normal(size=(n, mq, h * dh))
+    out = ad.attention(q, k, v, h)
     ad.tsum(ad.mul(out, Tensor(g))).backward()
-    want = _composed_attention(q.data, k.data, v.data, scale, g)
+    want = _composed_attention(_split(q.data, h), _split(k.data, h), _split(v.data, h),
+                               1.0 / np.sqrt(dh), _split(g, h))
     for got, exp in zip((out.data, q.grad, k.grad, v.grad), want):
-        assert np.array_equal(got, exp)
+        assert np.array_equal(got, _merge(exp))
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 3)])
@@ -443,13 +481,11 @@ DTYPE_CASES = {
     "gather_rows": (lambda x: ad.gather_rows(x, IDX), lambda x: np.take(x, IDX, axis=-2),
                     [(2, 4, 6)]),
     "scatter_rows": (lambda x: ad.scatter_rows(x, IDX, 5), _scattered, [(2, 3, 6)]),
-    "reshape": (lambda x: ad.reshape(x, (2, 24)), lambda x: x.reshape(2, 24), [(2, 4, 6)]),
-    "transpose": (lambda x: ad.transpose(x, (1, 0, 2)), lambda x: x.transpose(1, 0, 2),
-                  [(2, 4, 6)]),
     "layer_norm": (ad.layer_norm, _layer_normed, [(2, 4, 6), (6,), (6,)]),
-    "attention": (lambda q, k, v: ad.attention(q, k, v, 1.0 / math.sqrt(6)),
-                  lambda q, k, v: _composed_attention(q, k, v, 1.0 / np.sqrt(6),
-                                                      np.zeros((2, 3, 4)))[0],
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 2),
+                  lambda q, k, v: _merge(_composed_attention(
+                      _split(q, 2), _split(k, 2), _split(v, 2), 1.0 / np.sqrt(3),
+                      np.zeros((2, 2, 3, 2)))[0]),
                   [(2, 3, 6), (2, 5, 6), (2, 5, 4)]),
     "gelu": (ad.gelu, lambda x: x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))), [(2, 4, 6)]),
 }

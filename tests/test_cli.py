@@ -106,6 +106,15 @@ def test_bench_csv(tmp_path, raster64, capsys):
     assert "two_stage=262144" not in lines[-1]  # 64x64 input, not 256x256
 
 
+def test_bench_rejects_non_integer_t_list(tmp_path, raster64, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(raster64), "--T-list", "1,x", "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--T-list" in err and "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_bench_help_mentions_cost_discrepancy(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench", "--help"])
@@ -275,6 +284,21 @@ def test_train_zero_steps_exits_1(tmp_path, capsys):
     assert main(["train", "--data", str(data_dir), "--steps", "0",
                  "--out", str(ckpt)]) == 1
     assert "error: --steps" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flags", [["--batch", "-1"], ["--batch", "0"],
+                                   ["--d-model", "-4", "--heads", "2"], ["--d-model", "0"]])
+def test_train_rejects_sizes_below_one(tmp_path, capsys, flags):
+    data_dir = tmp_path / "patches"
+    data_dir.mkdir()
+    img = make_image(np.zeros((16, 16, 1), dtype=np.uint8))
+    (data_dir / "p0.pgm").write_bytes(store_raster(img))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(data_dir), "--steps", "1", *flags,
+                 "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("batch_size" in err or "d_model" in err)
     assert not ckpt.exists()
 
 

@@ -40,6 +40,18 @@ def test_config_validation():
         ModelConfig(subpatch_b=2, channels=1, d_model=10, grid_side=4, heads=4)
 
 
+@pytest.mark.parametrize("field", ["subpatch_b", "d_model", "grid_side", "heads",
+                                   "ffn_multiplier"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_config_rejects_sizes_below_one(field, value):
+    # d_model 0 or -4 is divisible by any head count; it must still be refused
+    args = dict(subpatch_b=2, channels=1, d_model=16, grid_side=4, heads=2,
+                ffn_multiplier=2)
+    args[field] = value
+    with pytest.raises(ParameterError, match=field):
+        ModelConfig(**args)
+
+
 def test_patch_token_roundtrip():
     rng = np.random.default_rng(0)
     patch = rng.integers(0, 256, (8, 8, 1), dtype=np.uint8)
@@ -175,6 +187,33 @@ def test_all_erased_container_decodes_with_model(tiny_params, mode):
     zeros = Tensor(np.zeros((TINY.num_positions, TINY.d_model)))
     want = tokens_to_patch(decode(zeros, tiny_params, TINY).data, 2, 1)
     assert np.array_equal(out[:, :8], want) and np.array_equal(out[:, 8:], want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pruned", [False, True])
+def test_all_erased_forward_is_decode_of_zero_grid(tiny_params, dtype, pruned):
+    # with nothing kept the encoder runs on no rows and assembles the zero
+    # grid, so the forward is the decoder's output for pos_dec alone
+    mask = EraseMask(np.zeros((4, 4), dtype=np.uint8))
+    rows = np.arange(16) if pruned else None
+    params = {k: Tensor(v.data.astype(dtype)) for k, v in tiny_params.items()}
+    tokens = np.random.default_rng(31).random((3, 16, TINY.token_dim)).astype(dtype)
+    with np.errstate(all="raise"):
+        out = forward_tokens(Tensor(tokens), mask, params, TINY, rows).data
+    zeros = Tensor(np.zeros((3, 16, TINY.d_model), dtype=dtype))
+    want = decode(zeros, params, TINY, rows).data
+    assert out.dtype == dtype and np.array_equal(out, want)
+
+
+def test_all_erased_training_step_leaves_the_encoder_without_gradient(tiny_params):
+    mask = EraseMask(np.zeros((4, 4), dtype=np.uint8))
+    params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in tiny_params.items()}
+    tokens = Tensor(np.random.default_rng(32).random((2, 16, TINY.token_dim)))
+    loss(forward_tokens(tokens, mask, params, TINY), tokens).backward()
+    for name, p in params.items():
+        grad = np.zeros_like(p.data) if p.grad is None else p.grad
+        untouched = name.startswith(("proj_in.", "pos_enc", "enc"))
+        assert np.isfinite(grad).all() and untouched == (not grad.any()), name
 
 
 def test_inference_records_no_graph(tiny_params, monkeypatch):
@@ -341,6 +380,13 @@ def test_train_zero_steps_returns_init():
         assert np.array_equal(params[name].data, ref[name].data)
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_train_rejects_batch_below_one(batch):
+    data = np.zeros((8, 8, 8, 1), dtype=np.uint8)
+    with pytest.raises(ParameterError, match="batch_size"):
+        train(data, TINY, TrainSettings(steps=1, batch_size=batch))
+
+
 def test_train_deterministic_trace():
     rng = np.random.default_rng(15)
     data = rng.integers(0, 256, (16, 8, 8, 1), dtype=np.uint8)
@@ -434,6 +480,13 @@ def test_checkpoint_zero_heads():
     blob = bytearray(save_checkpoint(init_params(TINY, seed=0), TINY))
     blob[13] = 0  # heads
     with pytest.raises(EaszError, match="heads"):
+        load_checkpoint(bytes(blob))
+
+
+def test_checkpoint_zero_d_model():
+    blob = bytearray(save_checkpoint(init_params(TINY, seed=0), TINY))
+    blob[11:13] = struct.pack(">H", 0)  # d_model
+    with pytest.raises(EaszError, match="d_model"):
         load_checkpoint(bytes(blob))
 
 
