@@ -5,6 +5,12 @@ row, keeping every new erased column farther than delta from the row's
 previous picks and farther than Delta from the previous row's picks, except
 in rows where rejection sampling gives up (see generate_row_mask).  Bit
 polarity: 1 = kept, 0 = erased.
+
+The sampler holds the columns far enough from the previous row, far enough
+from this row's picks, and both, as Python-int bit sets, and places a
+deadlocked pick by dilating the picks' bit set until it covers the pool.
+It stays draw-exact: the same SplitMix64 draws, hence the same masks, as the
+scalar list-based sampler that defined the seed-mode format.
 """
 
 from __future__ import annotations
@@ -78,21 +84,32 @@ _MAX_ATTEMPTS = 1000
 _ROW_RESTARTS = 32
 
 
-def _pick_fallback(allowed: list[bool], intra: list[bool],
-                   chosen: list[int], prev: list[int]) -> int:
+def _band(col: int, r: int) -> int:
+    """Bit set of the columns within r of col (columns past the grid's right
+    edge may be set too; callers mask them off)."""
+    return ((1 << 2 * r + 1) - 1) << col >> r
+
+
+def _pick_fallback(allowed: int, intra: int, chosen: int, prev: int, full: int) -> int:
     """Deterministic farthest-point placement once rejection gives up.
 
-    Picks from the columns allowed by both constraints; failing that, from
-    those satisfying delta alone (breaking Delta); failing that, from any
-    column not yet chosen (breaking delta too, which validate_params does
-    not rule out).  Within the pool it maximizes the distance to this row's
-    and the previous row's picks, lowest column on ties.
+    Arguments are column bit sets.  Picks from the columns allowed by both
+    constraints; failing that, from those satisfying delta alone (breaking
+    Delta); failing that, from any column not yet chosen (breaking delta too,
+    which validate_params does not rule out).  Within the pool it maximizes
+    the distance to this row's and the previous row's picks, lowest column on
+    ties: the covered set grows by one column a step until no pool column is
+    left outside it, and the last non-empty remainder holds the farthest ones.
     """
-    pool = ([c for c, ok in enumerate(allowed) if ok]
-            or [c for c, ok in enumerate(intra) if ok]
-            or [c for c in range(len(intra)) if c not in chosen])
-    others = chosen + prev
-    return max(pool, key=lambda c: (min((abs(c - o) for o in others), default=1 << 30), -c))
+    pool = allowed or intra or full & ~chosen
+    covered = chosen | prev
+    far = pool
+    rest = pool & ~covered if covered else 0  # no picks yet: all columns tie
+    while rest:
+        far = rest
+        covered |= covered << 1 | covered >> 1
+        rest = pool & ~covered
+    return (far & -far).bit_length() - 1
 
 
 def generate_row_mask(p: SamplerParams) -> EraseMask:
@@ -104,38 +121,49 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
     _MAX_ATTEMPTS draws (skipped at once if no column qualifies) is placed by
     _pick_fallback and the row redrawn, up to _ROW_RESTARTS times; the last
     attempt stands, so it may break Delta and, in tight cases, delta.
+
+    The qualifying columns are kept as Python-int bit sets (bit c = column
+    c), so a draw is tested with one shift; the draw sequence is exactly that
+    of the scalar sampler that defined the format.
     """
     validate_params(p)
     rng = SplitMix64(p.seed)
-    bits = np.ones((p.rows, p.cols), dtype=np.uint8)
-    prev: list[int] = []
+    cols, delta, big_delta = p.cols, p.intra_row_delta, p.inter_row_delta
+    full = (1 << cols) - 1
+    erased = 0  # bit row * cols + c set for each erased cell
+    prev = 0
+    far_prev = full
     for row in range(p.rows):
-        far_prev = [all(abs(c - o) > p.inter_row_delta for o in prev) for c in range(p.cols)]
         for _restart in range(_ROW_RESTARTS):
-            chosen: list[int] = []
-            intra = [True] * p.cols
+            chosen = near = 0
+            intra = full
             deadlocked = False
             for _t in range(p.samples_per_row):
-                allowed = [f and i for f, i in zip(far_prev, intra)]
+                allowed = far_prev & intra
                 col = -1
-                if any(allowed):
+                if allowed:
                     for _attempt in range(_MAX_ATTEMPTS):
-                        cand = rng.next_below(p.cols)
-                        if allowed[cand]:
+                        cand = rng.next_below(cols)
+                        if allowed >> cand & 1:
                             col = cand
                             break
                 else:  # every draw would be rejected
                     rng.skip(_MAX_ATTEMPTS)
                 if col < 0:
                     deadlocked = True
-                    col = _pick_fallback(allowed, intra, chosen, prev)
-                chosen.append(col)
-                intra = [i and abs(c - col) > p.intra_row_delta for c, i in enumerate(intra)]
+                    col = _pick_fallback(allowed, intra, chosen, prev, full)
+                chosen |= 1 << col
+                near |= _band(col, big_delta)
+                intra &= ~_band(col, delta)
             if not deadlocked:
                 break
-        bits[row, chosen] = 0
+        erased |= chosen << row * cols
         prev = chosen
-    return EraseMask(bits, p)
+        far_prev = full & ~near
+    size = p.rows * cols
+    gone = np.unpackbits(np.frombuffer(erased.to_bytes((size + 7) // 8, "little"), np.uint8),
+                         count=size, bitorder="little")
+    return EraseMask((1 - gone).reshape(p.rows, cols), p)
 
 
 def generate_random_mask(rows: int, cols: int, erased_k: int, seed: int) -> EraseMask:

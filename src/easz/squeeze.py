@@ -59,17 +59,23 @@ def squeezed_shape(patch_rows: int, patch_cols: int, n: int, b: int, t: int) -> 
     return patch_rows * n, patch_cols * (n // b - t) * b
 
 
+def _records(pixels: np.ndarray, shape: tuple[int, ...], width: int) -> np.ndarray:
+    """View a C-contiguous uint8 array with `shape` whose elements are its
+    runs of `width` bytes (one sub-patch pixel row, b * C) as np.void records."""
+    return pixels.reshape(*shape, width).view(f"V{width}")[..., 0]
+
+
 def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
     """Drop erased sub-patches and compact each sub-patch row leftward."""
     n, b, c = grid.patch_size_n, grid.subpatch_size_b, grid.channels
     gs, pr, pc = grid.subgrid_side, grid.patch_rows, grid.patch_cols
     cols = _kept_columns(mask, gs)
     t = gs - cols.shape[1]
-    # axes: patch row, patch col, sub-patch row, sub-patch col, pixel row,
-    # pixel col, channel
-    sub = grid.patches.reshape(pr, pc, gs, b, gs, b, c).transpose(0, 1, 2, 4, 3, 5, 6)
-    packed = sub[:, :, np.arange(gs)[:, None], cols]
-    pixels = packed.transpose(0, 2, 4, 1, 3, 5, 6).reshape(*squeezed_shape(pr, pc, n, b, t), c)
+    # axes: patch row, patch col, sub-patch row, pixel row, sub-patch col
+    sub = _records(np.ascontiguousarray(grid.patches), (pr, pc, gs, b, gs), b * c)
+    packed = sub[:, :, np.arange(gs)[:, None], :, cols]  # (gs, kept, pr, pc, b)
+    pixels = np.ascontiguousarray(packed.transpose(2, 0, 4, 3, 1))
+    pixels = pixels.view(np.uint8).reshape(*squeezed_shape(pr, pc, n, b, t), c)
     return SqueezedImage(pixels, n, b, t, pr, pc, grid.orig_height, grid.orig_width)
 
 
@@ -87,10 +93,10 @@ def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
     if (sq.height, sq.width) != want:
         raise GeometryError(f"squeezed raster {sq.height}x{sq.width} does not match "
                             f"geometry {want[0]}x{want[1]}")
-    packed = sq.pixels.reshape(pr, gs, b, pc, kept, b, c).transpose(0, 3, 1, 4, 2, 5, 6)
-    sub = np.zeros((pr, pc, gs, gs, b, b, c), dtype=np.uint8)
-    sub[:, :, np.arange(gs)[:, None], cols] = packed
-    patches = sub.transpose(0, 1, 2, 4, 3, 5, 6).reshape(pr * pc, n, n, c)
+    packed = _records(np.ascontiguousarray(sq.pixels), (pr, gs, b, pc, kept), b * c)
+    patches = np.zeros((pr * pc, n, n, c), dtype=np.uint8)
+    sub = _records(patches, (pr, pc, gs, b, gs), b * c)
+    sub[:, :, np.arange(gs)[:, None], :, cols] = packed.transpose(1, 4, 0, 3, 2)
     return PatchGrid(patches, n, b, pr, pc, sq.orig_height, sq.orig_width)
 
 

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from easz.errors import FormatError, ParameterError
 from easz.mask import (_MAX_ATTEMPTS, _ROW_RESTARTS, EraseMask, SamplerParams,
-                       generate_random_mask, generate_row_mask, pack_mask,
-                       unpack_mask, validate_params)
+                       _pick_fallback, generate_random_mask, generate_row_mask,
+                       pack_mask, unpack_mask, validate_params)
 from easz.model import ModelConfig, sample_training_mask
+from easz.pipeline import PipelineConfig
 from easz.prng import SplitMix64
 
 
@@ -237,9 +238,38 @@ def test_sampler_matches_reference_fixed():
     np.testing.assert_array_equal(bits, reference_row_mask(tight))
     assert any(np.diff(np.flatnonzero(row == 0)).min() <= 1 for row in bits)
     cfg = ModelConfig(subpatch_b=1, channels=1, d_model=8, grid_side=16, heads=2)
-    for seed in range(4):
-        mask = sample_training_mask(cfg, 0.25, seed)
+    masks = [PipelineConfig(seed=seed).make_mask() for seed in range(32)]
+    masks += [sample_training_mask(cfg, 0.25, seed) for seed in range(16)]
+    masks.append(generate_row_mask(SamplerParams(32, 32, 8, 2, 1, seed=0)))
+    for mask in masks:
         np.testing.assert_array_equal(mask.bits, reference_row_mask(mask.params))
+
+
+def _bit_set(cols) -> int:
+    return sum(1 << c for c in cols)
+
+
+def _subset(rng, cols, share: float) -> list[int]:
+    return [c for c in cols if rng.random() < share]
+
+
+def test_pick_fallback_is_farthest_point():
+    # The bit-set dilation against the min-distance rule, lowest column on
+    # ties, over the pool order allowed -> intra -> any unchosen column; a
+    # sixth of the draws have no picks at all (empty others).
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        cols = int(rng.integers(1, 70))
+        chosen = _subset(rng, range(cols), rng.choice([0, 0.2]))[:cols - 1]
+        prev = _subset(rng, range(cols), rng.choice([0, 0.1, 0.5]))
+        free = [c for c in range(cols) if c not in chosen]
+        allowed = _subset(rng, free, rng.choice([0, 0.1, 0.6]))
+        intra = _subset(rng, free, rng.choice([0, 0.3]))
+        pool = allowed or intra or free
+        want = max(pool, key=lambda c: (_ref_min_dist(c, chosen + prev), -c))
+        got = _pick_fallback(_bit_set(allowed), _bit_set(intra), _bit_set(chosen),
+                             _bit_set(prev), (1 << cols) - 1)
+        assert got == want, (cols, allowed, intra, chosen, prev)
 
 
 def test_splitmix_skip():
