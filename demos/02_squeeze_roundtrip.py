@@ -31,7 +31,7 @@ print("patch grid:", grid.patches.shape, "-> 8x8 sub-patch grid per patch")
 
 # Erase two sub-patch columns per grid row and squeeze.
 mask = generate_row_mask(SamplerParams(8, 8, 2, 1, 1, seed=11))
-sq = squeeze(grid, mask)
+sq = squeeze(img, mask, n=32, b=4)
 print(f"squeezed raster: {img.pixels.shape[:2]} -> {sq.pixels.shape[:2]}"
       f" ({sq.pixels.size / img.pixels.size:.0%} of the pixels)")
 

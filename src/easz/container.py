@@ -103,7 +103,7 @@ def encode_container(
     else:
         raise ParameterError(f"unknown mask_mode {mask_mode}")
     if codec is None:
-        payload = sq.pixels.tobytes()
+        payload = np.ascontiguousarray(sq.pixels).reshape(-1)  # joined without a bytes copy
         codec_id = CODEC_STORE
     else:
         payload = codec.encode(store_raster(Image(sq.pixels)))
@@ -113,13 +113,17 @@ def encode_container(
         sq.patch_size_n, sq.subpatch_size_b, sq.erased_per_row,
         mask_mode, seed, delta, big_delta, codec_id,
     )
-    return header + mask_bytes + struct.pack(">Q", len(payload)) + payload
+    return b"".join((header, mask_bytes, struct.pack(">Q", len(payload)), payload))
 
 
 def decode_container(
     data: bytes, codec: ExternalCodec | None = None
 ) -> tuple[SqueezedImage, EraseMask, int]:
-    """Parse a container; returns (squeezed image, mask, codec_id)."""
+    """Parse a container; returns (squeezed image, mask, codec_id).
+
+    A store payload's pixels are a read-only view of data, not a copy; an
+    external codec's are a read-only view of the raster it decoded.
+    """
     if len(data) < _HEADER.size:
         raise FormatError("container truncated before header end")
     (magic, version, orig_h, orig_w, channels, n, b, t,
@@ -155,7 +159,8 @@ def decode_container(
         want = sq_h * sq_w * channels
         if payload_len != want:
             raise FormatError(f"store payload is {payload_len} bytes, want {want}")
-        pixels = np.frombuffer(data, np.uint8, want, off).reshape(sq_h, sq_w, channels).copy()
+        pixels = np.frombuffer(data, np.uint8, want, off).reshape(sq_h, sq_w, channels)
+        pixels.flags.writeable = False  # also over a bytearray
     elif codec_id == CODEC_EXTERNAL:
         if codec is None:
             raise ParameterError("container uses an external codec; none configured")

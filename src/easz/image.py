@@ -7,6 +7,7 @@ patch grid keeps the pre-padding dimensions so output is always cropped back.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,28 +87,24 @@ class PatchGrid:
         return self.patch_cols * self.patch_size_n
 
 
+# Whitespace and '#' comment lines, then one token: the six bytes that
+# bytes.isspace() accepts separate tokens, and a comment runs to CR or LF.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\v\f]+|#[^\n\r]*)*([^ \t\n\r\v\f]*)")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if match.start(1) == match.end(1):
         raise ParseError("truncated header: expected token")
-    return data[start:pos], pos
+    return match.group(1), match.end(1)
 
 
 def load_raster(data: bytes) -> Image:
-    """Parse a binary PGM (P5) or PPM (P6) stream with maxval 255."""
+    """Parse a binary PGM (P5) or PPM (P6) stream with maxval 255.
+
+    The pixels are a read-only view of data's payload, not a copy: the Image
+    keeps data alive, and a caller that wants to write must copy first.
+    """
     magic, pos = _read_token(data, 0)
     if magic == b"P5":
         channels = 1
@@ -128,11 +125,12 @@ def load_raster(data: bytes) -> Image:
         raise ParseError(f"bad dimensions {width}x{height}")
     pos += 1  # single whitespace byte after maxval
     need = width * height * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ParseError(f"truncated payload: want {need} bytes, have {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Image(pixels.copy())
+    have = max(0, len(data) - pos)
+    if have < need:
+        raise ParseError(f"truncated payload: want {need} bytes, have {have}")
+    pixels = np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)
+    pixels.flags.writeable = False  # also over a bytearray
+    return Image(pixels)
 
 
 def store_raster(img: Image) -> bytes:
@@ -147,27 +145,38 @@ def padded_size(height: int, width: int, n: int) -> tuple[int, int]:
     return -(-height // n) * n, -(-width // n) * n
 
 
+def check_geometry(n: int, b: int) -> None:
+    """Raise ParameterError unless n x n patches split into b x b sub-patches."""
+    if b < 1 or n < b:
+        raise ParameterError(f"need n >= b >= 1, got n={n}, b={b}")
+    if n % b != 0:
+        raise ParameterError(f"patch size {n} not divisible by sub-patch size {b}")
+
+
+def padded_pixels(img: Image, n: int) -> np.ndarray:
+    """img's pixels edge-replicated up to multiples of n: a padded copy, or
+    img.pixels itself when both sides already are multiples."""
+    h, w = img.height, img.width
+    ph, pw = padded_size(h, w, n)
+    if (ph, pw) == (h, w):
+        return img.pixels
+    return np.pad(img.pixels, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
+
+
 def patchify(img: Image, n: int, b: int) -> PatchGrid:
     """Split into non-overlapping n x n patches of b x b sub-patches.
 
     Edge-replication pads the image up to multiples of n first.
     """
-    if b < 1 or n < b:
-        raise ParameterError(f"need n >= b >= 1, got n={n}, b={b}")
-    if n % b != 0:
-        raise ParameterError(f"patch size {n} not divisible by sub-patch size {b}")
-    h, w = img.height, img.width
-    ph, pw = padded_size(h, w, n)
-    px = img.pixels
-    if (ph, pw) != (h, w):
-        px = np.pad(px, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
-    rows, cols = ph // n, pw // n
+    check_geometry(n, b)
+    px = padded_pixels(img, n)
+    rows, cols = px.shape[0] // n, px.shape[1] // n
     patches = (
         px.reshape(rows, n, cols, n, img.channels)
         .transpose(0, 2, 1, 3, 4)
         .reshape(rows * cols, n, n, img.channels)
     )
-    return PatchGrid(patches, n, b, rows, cols, h, w)
+    return PatchGrid(patches, n, b, rows, cols, img.height, img.width)
 
 
 def unpatchify(grid: PatchGrid) -> Image:

@@ -84,10 +84,11 @@ _MAX_ATTEMPTS = 1000
 _ROW_RESTARTS = 32
 
 
-def _band(col: int, r: int) -> int:
-    """Bit set of the columns within r of col (columns past the grid's right
-    edge may be set too; callers mask them off)."""
-    return ((1 << 2 * r + 1) - 1) << col >> r
+def _bands(cols: int, r: int) -> list[int]:
+    """Bit set of the columns within r of each column c in [0, cols) (columns
+    past the grid's right edge may be set too; callers mask them off)."""
+    band = (1 << 2 * r + 1) - 1
+    return [band << c >> r for c in range(cols)]
 
 
 def _pick_fallback(allowed: int, intra: int, chosen: int, prev: int, full: int) -> int:
@@ -123,13 +124,17 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
     attempt stands, so it may break Delta and, in tight cases, delta.
 
     The qualifying columns are kept as Python-int bit sets (bit c = column
-    c), so a draw is tested with one shift; the draw sequence is exactly that
-    of the scalar sampler that defined the format.
+    c), so a draw is tested with one shift and a pick updates them from
+    per-column band tables; the draw sequence is exactly that of the scalar
+    sampler that defined the format.
     """
     validate_params(p)
     rng = SplitMix64(p.seed)
+    draw = rng.next_below
     cols, delta, big_delta = p.cols, p.intra_row_delta, p.inter_row_delta
     full = (1 << cols) - 1
+    near_of = _bands(cols, big_delta)  # near_of[c]: columns within Delta of c
+    clear_of = [~band for band in _bands(cols, delta)]  # all but those within delta
     erased = 0  # bit row * cols + c set for each erased cell
     prev = 0
     far_prev = full
@@ -143,7 +148,7 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
                 col = -1
                 if allowed:
                     for _attempt in range(_MAX_ATTEMPTS):
-                        cand = rng.next_below(cols)
+                        cand = draw(cols)
                         if allowed >> cand & 1:
                             col = cand
                             break
@@ -153,8 +158,8 @@ def generate_row_mask(p: SamplerParams) -> EraseMask:
                     deadlocked = True
                     col = _pick_fallback(allowed, intra, chosen, prev, full)
                 chosen |= 1 << col
-                near |= _band(col, big_delta)
-                intra &= ~_band(col, delta)
+                near |= near_of[col]
+                intra &= clear_of[col]
             if not deadlocked:
                 break
         erased |= chosen << row * cols

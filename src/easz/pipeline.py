@@ -1,6 +1,8 @@
 """End-to-end compress / decompress paths shared by the CLI and transport.
 
-compress: raster -> patchify -> mask -> squeeze -> container bytes.
+compress: raster -> mask -> squeeze -> container bytes, where the raster is a
+view of the input stream and squeeze gathers the kept sub-patch rows from it
+straight into the squeezed raster, the container's payload.
 decompress: container bytes -> mask -> unsqueeze -> (optional) model
 reconstruction, a few patches per forward -> raster.  Stages are timed.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .container import (MASK_EXPLICIT, ExternalCodec, decode_container,
                         encode_container)
-from .image import DEFAULT_B, DEFAULT_N, load_raster, patchify, store_raster, unpatchify
+from .image import DEFAULT_B, DEFAULT_N, load_raster, store_raster, unpatchify
 from .mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
 from .squeeze import squeeze, unsqueeze_grid
 
@@ -76,9 +78,8 @@ def compress_bytes(raster: bytes, cfg: PipelineConfig,
     clock = _Clock(timings)
     img = load_raster(raster)
     clock.lap("load")
-    grid = patchify(img, cfg.n, cfg.b)
     mask = cfg.make_mask()
-    sq = squeeze(grid, mask)
+    sq = squeeze(img, mask, cfg.n, cfg.b)
     clock.lap("erase_squeeze")
     frame = encode_container(sq, mask, cfg.codec, cfg.mask_mode)
     clock.lap("codec_encode")

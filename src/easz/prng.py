@@ -29,11 +29,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.next_below(1 << 64)
 
     def skip(self, k: int) -> None:
         """Advance past k draws in O(1): the state is a counter in steps of gamma."""
@@ -43,7 +39,11 @@ class SplitMix64:
         """Uniform-ish draw in [0, n)."""
         if n <= 0:
             raise ValueError("next_below requires n >= 1")
-        return self.next_u64() % n
+        # the output mix, inline: the mask sampler's inner loop calls this
+        z = self._state = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) % n
 
 
 def digest64(data: bytes) -> int:

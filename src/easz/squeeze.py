@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .image import Image, PatchGrid, unpatchify
+from .image import Image, PatchGrid, check_geometry, padded_pixels, unpatchify
 from .mask import EraseMask
 
 
@@ -48,10 +48,10 @@ def _kept_columns(mask: EraseMask, gs: int) -> np.ndarray:
         raise GeometryError(
             f"mask is {mask.rows}x{mask.cols}, sub-patch grid is {gs}x{gs}"
         )
-    kept = mask.bits.sum(axis=1)
-    if not (kept == kept[0]).all():
-        raise GeometryError(f"ragged mask: kept-per-row counts {sorted(set(kept.tolist()))}")
-    return np.nonzero(mask.bits)[1].reshape(gs, int(kept[0]))
+    kept = set(mask.bits.sum(axis=1).tolist())
+    if len(kept) > 1:
+        raise GeometryError(f"ragged mask: kept-per-row counts {sorted(kept)}")
+    return np.nonzero(mask.bits)[1].reshape(gs, kept.pop())
 
 
 def squeezed_shape(patch_rows: int, patch_cols: int, n: int, b: int, t: int) -> tuple[int, int]:
@@ -65,18 +65,30 @@ def _records(pixels: np.ndarray, shape: tuple[int, ...], width: int) -> np.ndarr
     return pixels.reshape(*shape, width).view(f"V{width}")[..., 0]
 
 
-def squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
-    """Drop erased sub-patches and compact each sub-patch row leftward."""
-    n, b, c = grid.patch_size_n, grid.subpatch_size_b, grid.channels
-    gs, pr, pc = grid.subgrid_side, grid.patch_rows, grid.patch_cols
+def squeeze(img: Image, mask: EraseMask, n: int, b: int) -> SqueezedImage:
+    """Drop erased sub-patches of every n x n patch and compact each
+    sub-patch row leftward.
+
+    One gather straight from the raster: each kept sub-patch pixel row is a
+    b * C-byte record of the (edge-padded) raster, and one np.take copies
+    them into a new squeezed raster.  No patch array is built, and the
+    raster is copied only to pad it to a multiple of n or to make it
+    contiguous.  The result never aliases img.
+    """
+    check_geometry(n, b)
+    c, gs = img.channels, n // b
     cols = _kept_columns(mask, gs)
     t = gs - cols.shape[1]
-    # axes: patch row, patch col, sub-patch row, pixel row, sub-patch col
-    sub = _records(np.ascontiguousarray(grid.patches), (pr, pc, gs, b, gs), b * c)
-    packed = sub[:, :, np.arange(gs)[:, None], :, cols]  # (gs, kept, pr, pc, b)
-    pixels = np.ascontiguousarray(packed.transpose(2, 0, 4, 3, 1))
-    pixels = pixels.view(np.uint8).reshape(*squeezed_shape(pr, pc, n, b, t), c)
-    return SqueezedImage(pixels, n, b, t, pr, pc, grid.orig_height, grid.orig_width)
+    px = np.ascontiguousarray(padded_pixels(img, n))
+    pr, pc = px.shape[0] // n, px.shape[1] // n
+    # per patch row, record ((g * b + r) * pc + j) * gs + col is the pixel row
+    # r of sub-patch (g, col) of patch j; the squeezed row keeps cols[g]
+    src = _records(px, (pr, n * pc * gs), b * c)
+    idx = np.arange(0, n * pc * gs, gs).reshape(gs, b * pc, 1) + cols[:, None, :]
+    pixels = np.empty((*squeezed_shape(pr, pc, n, b, t), c), dtype=np.uint8)
+    out = _records(pixels, (pr, idx.size), b * c)
+    np.take(src, idx.reshape(-1), axis=1, out=out, mode="clip")
+    return SqueezedImage(pixels, n, b, t, pr, pc, img.height, img.width)
 
 
 def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:

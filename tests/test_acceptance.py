@@ -5,20 +5,23 @@ PASS/FAIL line; timed criteria assert their wall-clock budget too.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import easz
 import easz.autodiff as ad
 from easz.autodiff import Tensor, grad_check
 from easz.cli import build_parser
 from easz.container import encode_container
-from easz.image import load_raster, make_image, patchify, store_raster
+from easz.image import load_raster, make_image, store_raster
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask, pack_mask, unpack_mask)
 from easz.metrics import attn_cost
@@ -119,10 +122,14 @@ def test_criterion_01_mask_constraints():
             f"{p.rows} {p.cols} {p.samples_per_row} {p.intra_row_delta} "
             f"{p.inter_row_delta} {p.seed}\n" for p in drawn[:50]
         )
+        # the child imports the easz this process imported, installed or not
+        pkg = str(Path(easz.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [pkg, os.environ.get("PYTHONPATH")]))}
         digests = [
             subprocess.run([sys.executable, "-c", _REPLAY_SNIPPET],
                            input=feed, capture_output=True, text=True,
-                           check=True).stdout.strip()
+                           env=env, check=True).stdout.strip()
             for _ in range(2)
         ]
         assert digests[0] == digests[1] and len(digests[0]) == 64
@@ -162,7 +169,6 @@ def test_criterion_03_squeeze_accounting():
             w = int(rng.integers(n, 3 * n + 1))
             raster = random_raster(rng, h, w)
             img = load_raster(raster)
-            grid = patchify(img, n, b)
             pad_h = (h + n - 1) // n * n
             pad_w = (w + n - 1) // n * n
             sizes = []
@@ -173,7 +179,7 @@ def test_criterion_03_squeeze_accounting():
                     delta = max(0, (gs // t - 1) // 2)
                     mask = generate_row_mask(SamplerParams(
                         gs, gs, t, delta, 0, seed=int(rng.integers(2**31))))
-                sq = squeeze(grid, mask)
+                sq = squeeze(img, mask, n, b)
                 want = round((1 - t * b / n) * pad_h * pad_w)
                 assert sq.pixels.shape[0] * sq.pixels.shape[1] == want
                 restored = unsqueeze(sq, mask)

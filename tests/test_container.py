@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from easz.container import (CODEC_EXTERNAL, CODEC_STORE, MASK_EXPLICIT,
                             MASK_SEED, MAX_PIXELS, ExternalCodec, bpp,
                             decode_container, encode_container)
 from easz.errors import EaszError, FormatError, ParameterError
-from easz.image import load_raster, make_image, patchify
+from easz.image import load_raster, make_image, patchify, store_raster
 from easz.mask import SamplerParams, generate_row_mask
-from easz.pipeline import decompress_bytes
+from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
 from easz.squeeze import SqueezedImage, squeeze, unsqueeze
 
 
@@ -28,7 +29,7 @@ def build(h=64, w=64, c=3, n=32, b=4, t=2, seed=9):
     grid = patchify(img, n, b)
     gs = n // b
     mask = generate_row_mask(SamplerParams(gs, gs, t, 1, 1, seed=seed))
-    return img, grid, mask, squeeze(grid, mask)
+    return img, grid, mask, squeeze(img, mask, n, b)
 
 
 def test_roundtrip_explicit_store():
@@ -57,6 +58,36 @@ def test_seed_mode_matches_explicit():
     sq_e, mask_e, _ = decode_container(f_expl)
     assert mask_s == mask_e == mask
     assert np.array_equal(sq_s.pixels, sq_e.pixels)
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+def test_store_payload_is_a_view_of_the_frame(wrap):
+    img, _, mask, sq = build(h=40, w=72, c=3, t=3)
+    frame = wrap(encode_container(sq, mask))
+    sq2, _, _ = decode_container(frame)
+    assert np.shares_memory(sq2.pixels, np.frombuffer(frame, np.uint8))
+    assert not sq2.pixels.flags.writeable
+    assert np.array_equal(sq2.pixels, sq.pixels)
+    # decoding the view gives the raster a private copy of the payload gives
+    copied = replace(sq2, pixels=sq2.pixels.copy())
+    assert decompress_bytes(frame) == store_raster(unsqueeze(copied, mask))
+
+
+def test_compress_peak_memory_near_container_size():
+    # one default compress holds the squeezed raster and the joined
+    # container: the raster is a view, and no patch array is built
+    rng = np.random.default_rng(3)
+    raster = store_raster(make_image(rng.integers(0, 256, (256, 256, 3), dtype=np.uint8)))
+    cfg = PipelineConfig(seed=4)
+    frame = compress_bytes(raster, cfg)
+    tracemalloc.start()
+    try:
+        again = compress_bytes(raster, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == frame
+    assert peak <= 2.1 * len(frame), f"peak {peak} B for a {len(frame)} B container"
 
 
 def test_seed_mode_needs_provenance():
@@ -161,7 +192,7 @@ def test_padded_pixel_count_checked_before_payload():
         import resource, struct, tracemalloc
         from easz.container import (CODEC_STORE, MAGIC, MASK_EXPLICIT, MASK_SEED,
                                     VERSION, _HEADER)
-        from easz.pipeline import decompress_bytes
+        from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
         side, n, b, t = 65280, 65280, 255, 255
         payload = bytes(n * (n // b - t) * b)
         frames = [_HEADER.pack(MAGIC, VERSION, side, side, 1, n, b, t, mode, 0, 0, 0,
@@ -202,7 +233,7 @@ def test_largest_admitted_image_decodes():
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_geometry_roundtrip(data):
-    # patchify -> squeeze -> container -> model-free decode, at any image
+    # squeeze -> container -> model-free decode, at any image
     # size and any geometry and mask parameters the sampler accepts.
     h, w = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
     n = data.draw(st.sampled_from([8, 16, 32]))
@@ -217,7 +248,7 @@ def test_geometry_roundtrip(data):
     rng = np.random.default_rng(seed)
     img = make_image(rng.integers(0, 256, (h, w, c), dtype=np.uint8))
     mask = generate_row_mask(SamplerParams(gs, gs, t, delta, big_delta, seed=seed))
-    sq = squeeze(patchify(img, n, b), mask)
+    sq = squeeze(img, mask, n, b)
     frame = encode_container(sq, mask, mask_mode=mode)
     sq2, mask2, _ = decode_container(frame)
     assert mask2 == mask
@@ -243,8 +274,8 @@ def test_size_monotone_in_t():
         if t == 0:
             from easz.mask import all_kept_mask
             mask = all_kept_mask(8, 8)
-            _, grid, _, _ = build(t=1)
-            sq = squeeze(grid, mask)
+            img, _, _, _ = build(t=1)
+            sq = squeeze(img, mask, 32, 4)
         else:
             _, _, mask, sq = build(t=t)
         sizes.append(len(encode_container(sq, mask)))

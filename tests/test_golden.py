@@ -84,7 +84,7 @@ def test_squeeze_and_containers_frozen(seed):
     img = make_image(rng.integers(0, 256, shape, dtype=np.uint8))
     cfg = PipelineConfig(seed=seed)
     mask = cfg.make_mask()
-    sq = squeeze(patchify(img, cfg.n, cfg.b), mask)
+    sq = squeeze(img, mask, cfg.n, cfg.b)
     assert sha(sq.pixels.tobytes()) == pixels
     assert sha(encode_container(sq, mask, mask_mode=MASK_EXPLICIT)) == explicit
     assert sha(encode_container(sq, mask, mask_mode=MASK_SEED)) == seeded

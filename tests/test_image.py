@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,43 @@ def test_bad_maxval():
 def test_header_comments_skipped():
     img = load_raster(b"P5\n# a comment\n1 1\n255\n\x07")
     assert img.pixels[0, 0, 0] == 7
+
+
+def test_header_scan_is_linear_and_fast():
+    # a 1 MB comment, CR-terminated comments and runs of whitespace
+    data = (b"P6 #" + b"x" * (1 << 20) + b"\n#\r\t 2\v\f# w\n1 \n" + b" " * 4096
+            + b"255\n" + bytes(range(6)))
+    load_raster(data)
+    start = time.perf_counter()
+    img = load_raster(data)
+    assert time.perf_counter() - start < 0.05
+    assert (img.width, img.height, img.channels) == (2, 1, 3)
+    assert img.pixels.reshape(-1).tolist() == list(range(6))
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"P5", "expected token"),
+    (b"P5 # only a comment", "expected token"),
+    (b"P5\n2 2\n255", "truncated payload: want 4 bytes, have 0"),
+    (b"P5\n2 2 255\n\x00", "truncated payload: want 4 bytes, have 1"),
+    (b"P5\n2#c 2\n255\n\x00", "bad width"),
+    (b"P5\n2 x\n255\n\x00", "bad height"),
+    (b"P5\n0 2\n255\n", "bad dimensions"),
+])
+def test_header_errors(data, match):
+    with pytest.raises(ParseError, match=match):
+        load_raster(data)
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+def test_load_raster_is_a_read_only_view(wrap):
+    data = wrap(b"P6\n2 2\n255\n" + bytes(range(12)))
+    img = load_raster(data)
+    assert not img.pixels.flags.writeable
+    assert np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+    assert img.pixels.reshape(-1).tolist() == list(range(12))
+    with pytest.raises(ValueError):
+        img.pixels[0, 0, 0] = 1
 
 
 def test_patchify_counts():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from easz.errors import GeometryError
-from easz.image import PatchGrid, make_image, patchify
+from easz.errors import GeometryError, ParameterError
+from easz.image import PatchGrid, load_raster, make_image, padded_size, patchify, store_raster
 from easz.mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
 from easz.squeeze import (SqueezedImage, _kept_columns, squeeze, squeezed_shape,
                           unsqueeze, unsqueeze_grid)
@@ -27,16 +27,14 @@ def kept_pixel_mask(mask, b, patch_rows, patch_cols):
 def test_squeeze_dimensions():
     rng = np.random.default_rng(0)
     img = rand_img(rng, 256, 256)
-    grid = patchify(img, 32, 4)
-    sq = squeeze(grid, row_mask(8, 2))
+    sq = squeeze(img, row_mask(8, 2), 32, 4)
     assert (sq.height, sq.width, sq.channels) == (256, 192, 3)
 
 
 def test_squeeze_identity_when_all_kept():
     rng = np.random.default_rng(1)
     img = rand_img(rng, 64, 64)
-    grid = patchify(img, 32, 4)
-    sq = squeeze(grid, all_kept_mask(8, 8))
+    sq = squeeze(img, all_kept_mask(8, 8), 32, 4)
     assert (sq.pixels == img.pixels).all()
 
 
@@ -44,17 +42,15 @@ def test_squeeze_ragged_mask_rejected():
     bits = np.ones((4, 4), dtype=np.uint8)
     bits[0, 0] = 0  # row 0 keeps 3, others keep 4
     rng = np.random.default_rng(2)
-    grid = patchify(rand_img(rng, 32, 32), 16, 4)
     with pytest.raises(GeometryError, match="ragged"):
-        squeeze(grid, EraseMask(bits))
+        squeeze(rand_img(rng, 32, 32), EraseMask(bits), 16, 4)
 
 
 def test_roundtrip_kept_identity_and_fill():
     rng = np.random.default_rng(3)
     img = rand_img(rng, 64, 96, 1)
-    grid = patchify(img, 32, 4)
     mask = row_mask(8, 3, seed=9)
-    sq = squeeze(grid, mask)
+    sq = squeeze(img, mask, 32, 4)
     out = unsqueeze(sq, mask)
     kept = kept_pixel_mask(mask, 4, 2, 3)
     assert (out.pixels[kept] == img.pixels[kept]).all()
@@ -62,17 +58,15 @@ def test_roundtrip_kept_identity_and_fill():
 
 def test_unsqueeze_default_fill_zero():
     rng = np.random.default_rng(4)
-    grid = patchify(rand_img(rng, 32, 32, 1), 32, 4)
     mask = row_mask(8, 2, seed=1)
-    out = unsqueeze(squeeze(grid, mask), mask)
+    out = unsqueeze(squeeze(rand_img(rng, 32, 32, 1), mask, 32, 4), mask)
     kept = kept_pixel_mask(mask, 4, 1, 1)
     assert (out.pixels[~kept] == 0).all()
 
 
 def test_unsqueeze_wrong_mask_dims():
     rng = np.random.default_rng(5)
-    grid = patchify(rand_img(rng, 32, 32, 1), 32, 4)
-    sq = squeeze(grid, row_mask(8, 2))
+    sq = squeeze(rand_img(rng, 32, 32, 1), row_mask(8, 2), 32, 4)
     with pytest.raises(GeometryError):
         unsqueeze_grid(sq, row_mask(4, 1))
 
@@ -81,11 +75,10 @@ def test_size_accounting_exact():
     rng = np.random.default_rng(6)
     for n, b, t in [(32, 4, 0), (32, 4, 2), (32, 8, 1), (16, 2, 3), (16, 16, 0)]:
         img = rand_img(rng, 80, 112, 1)
-        grid = patchify(img, n, b)
         gs = n // b
         mask = row_mask(gs, t, seed=t)
-        sq = squeeze(grid, mask)
-        padded = grid.padded_height * grid.padded_width
+        sq = squeeze(img, mask, n, b)
+        padded = np.prod(padded_size(80, 112, n))
         assert sq.pixels[:, :, 0].size == round((1 - t * b / n) * padded)
 
 
@@ -124,11 +117,12 @@ def _geometry(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if not isinstance(v, np.ndarray)}
 
 
-def assert_matches_reference(grid: PatchGrid, mask: EraseMask):
-    sq, want = squeeze(grid, mask), reference_squeeze(grid, mask)
+def assert_matches_reference(img, mask: EraseMask, n: int, b: int):
+    sq, want = squeeze(img, mask, n, b), reference_squeeze(patchify(img, n, b), mask)
     assert sq.pixels.dtype == np.uint8 and sq.pixels.shape == want.pixels.shape
     assert sq.pixels.tobytes() == want.pixels.tobytes()
     assert _geometry(sq) == _geometry(want)
+    assert not np.shares_memory(sq.pixels, img.pixels)
     back, ref = unsqueeze_grid(sq, mask), reference_unsqueeze_grid(sq, mask)
     assert back.patches.dtype == np.uint8 and back.patches.shape == ref.patches.shape
     assert back.patches.tobytes() == ref.patches.tobytes()
@@ -138,29 +132,37 @@ def assert_matches_reference(grid: PatchGrid, mask: EraseMask):
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_matches_reference_every_geometry(n, c):
-    # every b dividing n, every T from all kept to all erased, padded sizes
+    # every b dividing n, every T from all kept to all erased, padded sizes;
+    # the raster is load_raster's read-only view, as on the encode path
     rng = np.random.default_rng(n * 10 + c)
     for b in [b for b in range(1, n + 1) if n % b == 0]:
         gs = n // b
-        grid = patchify(rand_img(rng, 2 * n - 3, n + 5, c), n, b)
+        img = load_raster(store_raster(rand_img(rng, 2 * n - 3, n + 5, c)))
+        assert not img.pixels.flags.writeable
         for t in range(gs + 1):
-            assert_matches_reference(grid, row_mask(gs, t, seed=t))
+            assert_matches_reference(img, row_mask(gs, t, seed=t), n, b)
 
 
 def test_matches_reference_non_contiguous_input():
     rng = np.random.default_rng(7)
-    base = patchify(rand_img(rng, 48, 80, 3), 16, 4)
+    base = rand_img(rng, 48, 80, 3)
     mask = row_mask(4, 2, seed=3)
-    wide = rng.integers(0, 256, base.patches.shape[:3] + (6,), dtype=np.uint8)
-    for patches in (base.patches[::-1], wide[..., ::2],
-                    np.asfortranarray(base.patches)):
-        grid = PatchGrid(patches, 16, 4, base.patch_rows, base.patch_cols, 48, 80)
-        assert_matches_reference(grid, mask)
-    sq = squeeze(base, mask)
+    wide = rng.integers(0, 256, (48, 80, 6), dtype=np.uint8)
+    for pixels in (base.pixels, base.pixels[::-1], wide[..., ::2],
+                   np.asfortranarray(base.pixels), wide[:32, :64, 1::2]):
+        assert_matches_reference(make_image(pixels), mask, 16, 4)
+    sq = squeeze(base, mask, 16, 4)
     strided = np.zeros(sq.pixels.shape[:2] + (6,), dtype=np.uint8)
     strided[..., ::2] = sq.pixels
-    view = SqueezedImage(strided[..., ::2], 16, 4, 2, base.patch_rows,
-                         base.patch_cols, 48, 80)
+    view = SqueezedImage(strided[..., ::2], 16, 4, 2, sq.patch_rows,
+                         sq.patch_cols, 48, 80)
     assert not view.pixels.flags.c_contiguous
     np.testing.assert_array_equal(unsqueeze_grid(view, mask).patches,
                                   reference_unsqueeze_grid(sq, mask).patches)
+
+
+def test_squeeze_rejects_bad_geometry():
+    img = rand_img(np.random.default_rng(8), 32, 32)
+    for n, b in ((32, 5), (4, 8), (32, 0)):
+        with pytest.raises(ParameterError):
+            squeeze(img, all_kept_mask(1, 1), n, b)
