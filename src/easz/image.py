@@ -1,8 +1,11 @@
-"""Image representation, PGM/PPM I/O, and the two-stage patchify transforms.
+"""Image representation, PGM/PPM I/O, and the padding to whole patches.
 
-Pixels live as uint8 arrays of shape (height, width, channels).  Images that
-do not divide evenly into n x n patches are padded by edge replication; the
-patch grid keeps the pre-padding dimensions so output is always cropped back.
+Pixels live as uint8 arrays of shape (height, width, channels), and that
+raster is the only image representation: the codec addresses n x n patches
+and their b x b sub-patches through views of it, never as a separate patch
+array.  Images that do not divide evenly into n x n patches are padded by
+edge replication; the container keeps the pre-padding dimensions, so output
+is always cropped back.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GeometryError, ParameterError, ParseError
+from .errors import DimensionError, ParameterError, ParseError
 
 DEFAULT_N, DEFAULT_B = 32, 4  # default (n, b) of PipelineConfig, the CLI and the model
 
@@ -52,39 +55,6 @@ def make_image(pixels: np.ndarray) -> Image:
     if arr.ndim == 2:
         arr = arr[:, :, None]
     return Image(arr)
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    """Row-major n x n patches of a (possibly padded) image.
-
-    patches has shape (patch_rows * patch_cols, n, n, C).  subgrid_side is
-    the number of b x b sub-patches per patch side.
-    """
-
-    patches: np.ndarray
-    patch_size_n: int
-    subpatch_size_b: int
-    patch_rows: int
-    patch_cols: int
-    orig_height: int
-    orig_width: int
-
-    @property
-    def subgrid_side(self) -> int:
-        return self.patch_size_n // self.subpatch_size_b
-
-    @property
-    def channels(self) -> int:
-        return self.patches.shape[3]
-
-    @property
-    def padded_height(self) -> int:
-        return self.patch_rows * self.patch_size_n
-
-    @property
-    def padded_width(self) -> int:
-        return self.patch_cols * self.patch_size_n
 
 
 # Whitespace and '#' comment lines, then one token: the six bytes that
@@ -137,7 +107,7 @@ def store_raster(img: Image) -> bytes:
     """Serialize as P5 (1 channel) or P6 (3 channels)."""
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels)))
 
 
 def padded_size(height: int, width: int, n: int) -> tuple[int, int]:
@@ -161,36 +131,3 @@ def padded_pixels(img: Image, n: int) -> np.ndarray:
     if (ph, pw) == (h, w):
         return img.pixels
     return np.pad(img.pixels, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
-
-
-def patchify(img: Image, n: int, b: int) -> PatchGrid:
-    """Split into non-overlapping n x n patches of b x b sub-patches.
-
-    Edge-replication pads the image up to multiples of n first.
-    """
-    check_geometry(n, b)
-    px = padded_pixels(img, n)
-    rows, cols = px.shape[0] // n, px.shape[1] // n
-    patches = (
-        px.reshape(rows, n, cols, n, img.channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(rows * cols, n, n, img.channels)
-    )
-    return PatchGrid(patches, n, b, rows, cols, img.height, img.width)
-
-
-def unpatchify(grid: PatchGrid) -> Image:
-    """Reassemble patches and crop back to the original region."""
-    n = grid.patch_size_n
-    expected = grid.patch_rows * grid.patch_cols
-    if grid.patches.shape[0] != expected:
-        raise GeometryError(
-            f"patch count {grid.patches.shape[0]} != {grid.patch_rows}x{grid.patch_cols}"
-        )
-    c = grid.channels
-    px = (
-        grid.patches.reshape(grid.patch_rows, grid.patch_cols, n, n, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(grid.padded_height, grid.padded_width, c)
-    )
-    return Image(px[: grid.orig_height, : grid.orig_width].copy())

@@ -46,10 +46,6 @@ class EraseMask:
     def cols(self) -> int:
         return self.bits.shape[1]
 
-    @property
-    def erased_count(self) -> int:
-        return int(self.bits.size - self.bits.sum())
-
     def __eq__(self, other):
         if not isinstance(other, EraseMask):
             return NotImplemented

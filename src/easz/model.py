@@ -15,14 +15,14 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .image import DEFAULT_B, DEFAULT_N, PatchGrid
+from .image import DEFAULT_B, DEFAULT_N
 from .mask import EraseMask, SamplerParams, generate_random_mask, generate_row_mask
 from .prng import digest64
 
@@ -266,38 +266,36 @@ def inference_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(v.data) for k, v in params.items()}
 
 
-def decode_and_reconstruct(patches: np.ndarray, mask: EraseMask,
+def decode_and_reconstruct(pixels: np.ndarray, mask: EraseMask,
                            params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
-    """Reconstruct a uint8 patch (n, n, C) or a stack of them (N, n, n, C):
-    model predictions at erased positions, original pixels everywhere the
-    mask kept them.  The model runs in float32, sees _SLICE patches at a
-    time and writes into the uint8 output, so no other buffer grows with the
-    stack."""
-    out = patches.copy()  # kept pixels pass through exactly
+    """Reconstruct a uint8 raster (H, W, C) whose sides are multiples of
+    n = b * grid_side, one patch being the 1 x 1 case: model predictions at
+    the erased positions of every n x n patch, the input pixels everywhere
+    the mask kept them.  Returns a new array.
+
+    The model runs in float32 on _SLICE patches at a time, taken in raster
+    order (a slice may span patch rows), and writes into the uint8 output,
+    so no other buffer grows with the raster."""
+    b, gs, c = cfg.subpatch_b, cfg.grid_side, cfg.channels
+    n = gs * b
+    pr, pc = pixels.shape[0] // n, pixels.shape[1] // n
+    if pixels.shape != (pr * n, pc * n, c):
+        raise DimensionError(f"raster {pixels.shape} is not whole {n}x{n}x{c} patches")
+    out = pixels.copy()  # kept pixels pass through exactly
     erased = np.flatnonzero(mask.bits.reshape(-1) == 0)
     if erased.size == 0:
         return out
-    b, gs, c = cfg.subpatch_b, cfg.grid_side, cfg.channels
-    stack = out.reshape(-1, gs * b, gs * b, c)
-    subs = out.reshape(-1, gs, b, gs, b, c)  # sub-patch (r, q) is subs[:, r, :, q]
+    patches = out.reshape(pr, n, pc, n, c).swapaxes(1, 2)  # patch (i, j) is patches[i, j]
+    subs = out.reshape(pr, gs, b, pc, gs, b, c)  # its sub-patch (r, q) is subs[i, r, :, j, q]
     r, q = np.divmod(erased, gs)
     view = inference_params(params)
-    for i in range(0, len(stack), _SLICE):
-        tokens = Tensor(patch_to_tokens(stack[i:i + _SLICE], b))
+    for k in range(0, pr * pc, _SLICE):
+        i, j = np.divmod(np.arange(k, min(k + _SLICE, pr * pc)), pc)
+        tokens = Tensor(patch_to_tokens(patches[i, j], b))
         pred = forward_tokens(tokens, mask, view, cfg, erased).data
-        pixels = _to_uint8(pred).reshape(len(pred), erased.size, b, b, c)
-        subs[i:i + _SLICE, r, :, q] = pixels.swapaxes(0, 1)
+        subs[i[:, None], r, :, j[:, None], q] = _to_uint8(pred).reshape(
+            len(i), erased.size, b, b, c)
     return out
-
-
-def reconstruct_grid(grid: PatchGrid, mask: EraseMask,
-                     params: dict[str, Tensor], cfg: ModelConfig) -> PatchGrid:
-    """Apply decode_and_reconstruct to every patch of a grid."""
-    want = (cfg.subpatch_b, cfg.grid_side, cfg.channels)
-    got = (grid.subpatch_size_b, grid.subgrid_side, grid.channels)
-    if got != want:
-        raise ParameterError(f"model wants (b, grid side, channels) = {want}, image has {got}")
-    return replace(grid, patches=decode_and_reconstruct(grid.patches, mask, params, cfg))
 
 
 def loss(x: Tensor, y: Tensor, lam: float = 0.3, perceptual=None) -> Tensor:

@@ -3,8 +3,11 @@
 compress: raster -> mask -> squeeze -> container bytes, where the raster is a
 view of the input stream and squeeze gathers the kept sub-patch rows from it
 straight into the squeezed raster, the container's payload.
-decompress: container bytes -> mask -> unsqueeze -> (optional) model
-reconstruction, a few patches per forward -> raster.  Stages are timed.
+decompress runs squeeze backwards: container bytes -> mask -> unsqueeze,
+one scatter of the kept records into a zeroed padded raster -> (optional)
+model reconstruction of that raster, a few patches per forward -> crop ->
+raster stream.  The image stays one raster throughout, never an array of
+patches.  Stages are timed.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass, field
 
 from .container import (MASK_EXPLICIT, ExternalCodec, decode_container,
                         encode_container)
-from .image import DEFAULT_B, DEFAULT_N, load_raster, store_raster, unpatchify
+from .errors import ParameterError
+from .image import DEFAULT_B, DEFAULT_N, Image, load_raster, store_raster
 from .mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
-from .squeeze import squeeze, unsqueeze_grid
+from .squeeze import squeeze, unsqueeze
 
 HOST, PORT = "127.0.0.1", 9464  # of `easz serve`/`send`; the CLI reads it without transport
 STAGES = ("load", "erase_squeeze", "codec_encode", "transmit",
@@ -98,13 +102,17 @@ def decompress_bytes(frame: bytes, model=None,
     clock = _Clock(timings)
     sq, mask, _codec_id = decode_container(frame, codec)
     clock.lap("codec_decode")
-    grid = unsqueeze_grid(sq, mask)
+    pixels = unsqueeze(sq, mask).pixels
     if model is not None and sq.erased_per_row > 0:
         # lazy: the edge path never loads the model code, which takes ~20 ms to import
-        from .model import reconstruct_grid
+        from .model import decode_and_reconstruct
 
         params, mcfg = model
-        grid = reconstruct_grid(grid, mask, params, mcfg)
-    img = unpatchify(grid)
+        want = (mcfg.subpatch_b, mcfg.grid_side, mcfg.channels)
+        got = (sq.subpatch_size_b, sq.patch_size_n // sq.subpatch_size_b, sq.channels)
+        if got != want:
+            raise ParameterError(f"model wants (b, grid side, channels) = {want}, image has {got}")
+        pixels = decode_and_reconstruct(pixels, mask, params, mcfg)
+    img = Image(pixels[:sq.orig_height, :sq.orig_width])
     clock.lap("reconstruct")
     return store_raster(img)

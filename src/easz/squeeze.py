@@ -3,6 +3,11 @@
 Compaction is leftward within each sub-patch row; with a fixed erased count
 T per row this yields a rectangular n x (n - T*b) patch, which is what lets
 the squeezed raster feed any standard image codec downstream.
+
+Both directions work on the raster itself, never on an array of patches:
+squeeze gathers the kept b * C-byte records of each sub-patch pixel row out
+of the padded raster, and unsqueeze scatters them back through the same
+record index (_record_index, the one statement of the squeezed layout).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .image import Image, PatchGrid, check_geometry, padded_pixels, unpatchify
+from .image import Image, check_geometry, padded_pixels
 from .mask import EraseMask
 
 
@@ -65,6 +70,16 @@ def _records(pixels: np.ndarray, shape: tuple[int, ...], width: int) -> np.ndarr
     return pixels.reshape(*shape, width).view(f"V{width}")[..., 0]
 
 
+def _record_index(cols: np.ndarray, n: int, b: int, patch_cols: int) -> np.ndarray:
+    """Within one patch row of the padded raster, viewed as (n * patch_cols
+    * gs) b * C-byte records, the index of every kept record in squeezed
+    order: record ((g * b + r) * patch_cols + j) * gs + cols[g][k] is pixel
+    row r of kept sub-patch (g, cols[g][k]) of patch j."""
+    gs = n // b
+    rows = np.arange(0, n * patch_cols * gs, gs).reshape(gs, b * patch_cols, 1)
+    return (rows + cols[:, None, :]).reshape(-1)
+
+
 def squeeze(img: Image, mask: EraseMask, n: int, b: int) -> SqueezedImage:
     """Drop erased sub-patches of every n x n patch and compact each
     sub-patch row leftward.
@@ -81,37 +96,29 @@ def squeeze(img: Image, mask: EraseMask, n: int, b: int) -> SqueezedImage:
     t = gs - cols.shape[1]
     px = np.ascontiguousarray(padded_pixels(img, n))
     pr, pc = px.shape[0] // n, px.shape[1] // n
-    # per patch row, record ((g * b + r) * pc + j) * gs + col is the pixel row
-    # r of sub-patch (g, col) of patch j; the squeezed row keeps cols[g]
-    src = _records(px, (pr, n * pc * gs), b * c)
-    idx = np.arange(0, n * pc * gs, gs).reshape(gs, b * pc, 1) + cols[:, None, :]
+    idx = _record_index(cols, n, b, pc)
     pixels = np.empty((*squeezed_shape(pr, pc, n, b, t), c), dtype=np.uint8)
     out = _records(pixels, (pr, idx.size), b * c)
-    np.take(src, idx.reshape(-1), axis=1, out=out, mode="clip")
+    np.take(_records(px, (pr, n * pc * gs), b * c), idx, axis=1, out=out, mode="clip")
     return SqueezedImage(pixels, n, b, t, pr, pc, img.height, img.width)
 
 
-def unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
-    """Scatter kept sub-patches back to their positions, zeros elsewhere.
+def unsqueeze(sq: SqueezedImage, mask: EraseMask) -> Image:
+    """The inverse of squeeze: scatter the kept records back to their
+    positions in a zeroed raster, so erased sub-patches read 0.
 
-    Returns the padded-size patch grid so reconstruction can run per patch;
-    crop with image.unpatchify.
+    Returns the padded (patch_rows * n, patch_cols * n, C) raster; crop it
+    to (orig_height, orig_width) for the image that was squeezed.
     """
     n, b, c = sq.patch_size_n, sq.subpatch_size_b, sq.channels
     gs, pr, pc = n // b, sq.patch_rows, sq.patch_cols
     cols = _kept_columns(mask, gs)
-    kept = cols.shape[1]
-    want = squeezed_shape(pr, pc, n, b, gs - kept)
+    want = squeezed_shape(pr, pc, n, b, gs - cols.shape[1])
     if (sq.height, sq.width) != want:
         raise GeometryError(f"squeezed raster {sq.height}x{sq.width} does not match "
                             f"geometry {want[0]}x{want[1]}")
-    packed = _records(np.ascontiguousarray(sq.pixels), (pr, gs, b, pc, kept), b * c)
-    patches = np.zeros((pr * pc, n, n, c), dtype=np.uint8)
-    sub = _records(patches, (pr, pc, gs, b, gs), b * c)
-    sub[:, :, np.arange(gs)[:, None], :, cols] = packed.transpose(1, 4, 0, 3, 2)
-    return PatchGrid(patches, n, b, pr, pc, sq.orig_height, sq.orig_width)
-
-
-def unsqueeze(sq: SqueezedImage, mask: EraseMask) -> Image:
-    """unsqueeze_grid followed by reassembly and cropping."""
-    return unpatchify(unsqueeze_grid(sq, mask))
+    idx = _record_index(cols, n, b, pc)
+    pixels = np.zeros((pr * n, pc * n, c), dtype=np.uint8)
+    dst = _records(pixels, (pr, n * pc * gs), b * c)
+    dst[:, idx] = _records(np.ascontiguousarray(sq.pixels), (pr, idx.size), b * c)
+    return Image(pixels)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from easz import autodiff as ad
-from easz.autodiff import AdamW, Tensor, grad_check
+from easz.autodiff import AdamW, Tensor
 from easz.errors import DimensionError, TrainingError
 from easz.model import _SLICE
+from gradcheck import grad_check, tsum
 
 
 @pytest.fixture
@@ -100,7 +101,7 @@ def test_attention_over_empty_rows(mq, mk, rng):
     q, k, v = t(rng, (2, mq, 4)), t(rng, (2, mk, 4)), t(rng, (2, mk, 6))
     with np.errstate(all="raise"):
         out = ad.attention(q, k, v, 2)
-        ad.tsum(ad.mul(out, Tensor(rng.normal(size=(2, mq, 6))))).backward()
+        tsum(ad.mul(out, Tensor(rng.normal(size=(2, mq, 6))))).backward()
     assert out.shape == (2, mq, 6) and not out.data.any()
     for x in (q, k, v):
         assert x.grad.shape == x.shape and not x.grad.any()
@@ -108,17 +109,17 @@ def test_attention_over_empty_rows(mq, mk, rng):
 
 def test_simple_closed_form_gradient():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    out = ad.tsum(ad.mul(x, x))
+    out = tsum(ad.mul(x, x))
     out.backward()
     assert np.allclose(x.grad, [2.0, 4.0])
-    assert grad_check(lambda v: ad.tsum(ad.mul(v, v)), x) < 1e-8
+    assert grad_check(lambda v: tsum(ad.mul(v, v)), x) < 1e-8
 
 
 def test_shared_gradients_are_not_added_in_place():
     # add routes one gradient array to both inputs; a's second contribution
     # must not change the gradient b already holds
     a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
-    ad.tsum(ad.add(ad.add(a, b), a)).backward()
+    tsum(ad.add(ad.add(a, b), a)).backward()
     assert np.array_equal(a.grad, np.full(3, 2.0))
     assert np.array_equal(b.grad, np.ones(3))
 
@@ -135,7 +136,7 @@ def test_gather_scatter_routes_gradients(rng):
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     idx = np.array([1, 3])
     weights = Tensor(rng.normal(size=(4, 3)))
-    out = ad.tsum(ad.mul(ad.scatter_rows(ad.gather_rows(x, idx), idx, 4), weights))
+    out = tsum(ad.mul(ad.scatter_rows(ad.gather_rows(x, idx), idx, 4), weights))
     out.backward()
     assert np.allclose(x.grad[[0, 2]], 0.0)
     assert not np.allclose(x.grad[[1, 3]], 0.0)
@@ -148,9 +149,9 @@ PRIMITIVE_SHAPES = [(4,), (3, 5), (2, 3, 4)]
 def test_grad_check_add_mul_scale(shape, rng):
     other = Tensor(rng.normal(size=shape))
     for f in (
-        lambda x: ad.tsum(ad.add(x, other)),
-        lambda x: ad.tsum(ad.mul(x, other)),
-        lambda x: ad.tsum(ad.scale(x, -2.5)),
+        lambda x: tsum(ad.add(x, other)),
+        lambda x: tsum(ad.mul(x, other)),
+        lambda x: tsum(ad.scale(x, -2.5)),
     ):
         assert grad_check(f, t(rng, shape)) < 1e-6
 
@@ -158,19 +159,19 @@ def test_grad_check_add_mul_scale(shape, rng):
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (5, 2, 4, 3)])
 def test_grad_check_matmul(shape, rng):
     w = Tensor(rng.normal(size=(3, 6)))
-    assert grad_check(lambda x: ad.tsum(ad.matmul(x, w)), t(rng, shape)) < 1e-6
+    assert grad_check(lambda x: tsum(ad.matmul(x, w)), t(rng, shape)) < 1e-6
     lhs = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda x: ad.tsum(ad.matmul(lhs, x)), t(rng, (3, 6))) < 1e-6
+    assert grad_check(lambda x: tsum(ad.matmul(lhs, x)), t(rng, (3, 6))) < 1e-6
 
 
 @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 6)])
 def test_grad_check_layer_norm(shape, rng):
     gamma = Tensor(rng.normal(size=6))
     beta = Tensor(rng.normal(size=6))
-    assert grad_check(lambda x: ad.tsum(ad.layer_norm(x, gamma, beta)), t(rng, shape)) < 1e-6
+    assert grad_check(lambda x: tsum(ad.layer_norm(x, gamma, beta)), t(rng, shape)) < 1e-6
     xc = Tensor(rng.normal(size=shape))
-    assert grad_check(lambda g: ad.tsum(ad.layer_norm(xc, g, beta)), t(rng, (6,))) < 1e-6
-    assert grad_check(lambda b: ad.tsum(ad.layer_norm(xc, gamma, b)), t(rng, (6,))) < 1e-6
+    assert grad_check(lambda g: tsum(ad.layer_norm(xc, g, beta)), t(rng, (6,))) < 1e-6
+    assert grad_check(lambda b: tsum(ad.layer_norm(xc, gamma, b)), t(rng, (6,))) < 1e-6
 
 
 def _noncontiguous(r, shape):
@@ -214,7 +215,7 @@ def test_folded_matmul_matches_per_batch_product_bitwise(shapes, dtype, contiguo
     g = r.normal(size=a_shape[:-1] + w_shape[-1:]).astype(dtype)
     assert a.data.flags.c_contiguous == contiguous
     out = ad.matmul(a, w)
-    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    tsum(ad.mul(out, Tensor(g))).backward()
     assert np.array_equal(out.data, np.matmul(a.data, w.data))
     assert np.array_equal(a.grad, np.matmul(g, w.data.swapaxes(-1, -2)))
     assert np.array_equal(w.grad, ad._unbroadcast(a.data.swapaxes(-1, -2) @ g, w_shape))
@@ -247,7 +248,7 @@ def test_gelu_without_graph_matches_recording_bitwise(rng):
     xt = Tensor(x, requires_grad=True)
     recorded = ad.gelu(xt)
     assert np.array_equal(free, recorded.data)
-    ad.tsum(recorded).backward()
+    tsum(recorded).backward()
     assert xt.grad is not None
 
 
@@ -268,7 +269,7 @@ def test_gelu_without_graph_keeps_only_its_output(rng):
 
 @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 5)])
 def test_grad_check_gelu(shape, rng):
-    assert grad_check(lambda x: ad.tsum(ad.gelu(x)), t(rng, shape)) < 1e-6
+    assert grad_check(lambda x: tsum(ad.gelu(x)), t(rng, shape)) < 1e-6
 
 
 def test_gelu_float32_within_bound_of_exact():
@@ -293,7 +294,7 @@ def test_gelu_layer_norm_match_out_of_place_bitwise():
     pdf = np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi)
     xt = Tensor(x, requires_grad=True)
     out = ad.gelu(xt)
-    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    tsum(ad.mul(out, Tensor(g))).backward()
     assert np.array_equal(out.data, x * phi)
     assert np.array_equal(xt.grad, g * (phi + x * pdf))
 
@@ -305,7 +306,7 @@ def test_gelu_layer_norm_match_out_of_place_bitwise():
                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
     xt, gt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True)
     out = ad.layer_norm(xt, gt, Tensor(beta))
-    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    tsum(ad.mul(out, Tensor(g))).backward()
     assert np.array_equal(out.data, xhat * gamma + beta)
     assert np.array_equal(xt.grad, want_gx)
     assert np.array_equal(gt.grad, (g * xhat).sum(axis=0).sum(axis=0).sum(axis=0))
@@ -320,7 +321,7 @@ def test_grad_check_attention(edge, rng):
 
     def f(x):
         args = dict(qkv, **{edge: x})
-        return ad.tsum(ad.mul(ad.attention(args["q"], args["k"], args["v"], 2), w))
+        return tsum(ad.mul(ad.attention(args["q"], args["k"], args["v"], 2), w))
 
     # the five-point stencil: some k and q coordinates are small enough that
     # the two-point difference's roundoff alone nears the bound
@@ -376,7 +377,7 @@ def test_attention_matches_composed_chain_bitwise(shape):
                for m in (mq, mk, mk))
     g = r.normal(size=(n, mq, h * dh))
     out = ad.attention(q, k, v, h)
-    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    tsum(ad.mul(out, Tensor(g))).backward()
     want = _composed_attention(_split(q.data, h), _split(k.data, h), _split(v.data, h),
                                1.0 / np.sqrt(dh), _split(g, h))
     for got, exp in zip((out.data, q.grad, k.grad, v.grad), want):
@@ -386,10 +387,10 @@ def test_attention_matches_composed_chain_bitwise(shape):
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 3)])
 def test_grad_check_gather_scatter_concat(shape, rng):
     idx = np.array([0, 2, 2])
-    assert grad_check(lambda x: ad.tsum(ad.gather_rows(x, idx)), t(rng, shape)) < 1e-6
+    assert grad_check(lambda x: tsum(ad.gather_rows(x, idx)), t(rng, shape)) < 1e-6
     w = Tensor(rng.normal(size=shape[:-2] + (6, 3)))
     assert grad_check(
-        lambda x: ad.tsum(ad.mul(ad.scatter_rows(x, np.array([1, 4, 5, 0]), 6), w)),
+        lambda x: tsum(ad.mul(ad.scatter_rows(x, np.array([1, 4, 5, 0]), 6), w)),
         t(rng, shape[:-2] + (4, 3)),
     ) < 1e-6
 
@@ -399,7 +400,7 @@ def test_grad_check_linear_mae(shape, rng):
     if len(shape) >= 2:
         w = Tensor(rng.normal(size=(shape[-1], 5)))
         b = Tensor(rng.normal(size=5))
-        assert grad_check(lambda x: ad.tsum(ad.linear(x, w, b)), t(rng, shape)) < 1e-6
+        assert grad_check(lambda x: tsum(ad.linear(x, w, b)), t(rng, shape)) < 1e-6
     y = Tensor(rng.normal(size=shape))
     assert grad_check(lambda x: ad.mean_abs_error(x, y), t(rng, shape)) < 1e-6
 
@@ -449,7 +450,7 @@ def test_linear_bias_in_place_is_exact(rng):
     b = Tensor(rng.normal(size=5), requires_grad=True)
     out = ad.linear(x, w, b)
     assert np.array_equal(out.data, x.data @ w.data + b.data)
-    ad.tsum(out).backward()
+    tsum(out).backward()
     assert np.array_equal(b.grad, np.full(5, 8.0))
     assert np.array_equal(w.grad, x.data.sum(axis=(0, 1))[:, None] * np.ones(5))
 

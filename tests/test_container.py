@@ -17,7 +17,7 @@ from easz.container import (CODEC_EXTERNAL, CODEC_STORE, MASK_EXPLICIT,
                             MASK_SEED, MAX_PIXELS, ExternalCodec, bpp,
                             decode_container, encode_container)
 from easz.errors import EaszError, FormatError, ParameterError
-from easz.image import load_raster, make_image, patchify, store_raster
+from easz.image import Image, load_raster, make_image, padded_size, store_raster
 from easz.mask import SamplerParams, generate_row_mask
 from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
 from easz.squeeze import SqueezedImage, squeeze, unsqueeze
@@ -26,14 +26,13 @@ from easz.squeeze import SqueezedImage, squeeze, unsqueeze
 def build(h=64, w=64, c=3, n=32, b=4, t=2, seed=9):
     rng = np.random.default_rng(seed)
     img = make_image(rng.integers(0, 256, (h, w, c), dtype=np.uint8))
-    grid = patchify(img, n, b)
     gs = n // b
     mask = generate_row_mask(SamplerParams(gs, gs, t, 1, 1, seed=seed))
-    return img, grid, mask, squeeze(img, mask, n, b)
+    return img, mask, squeeze(img, mask, n, b)
 
 
 def test_roundtrip_explicit_store():
-    img, grid, mask, sq = build()
+    img, mask, sq = build()
     frame = encode_container(sq, mask)
     sq2, mask2, codec_id = decode_container(frame)
     assert codec_id == CODEC_STORE
@@ -51,7 +50,7 @@ def test_roundtrip_explicit_store():
 
 
 def test_seed_mode_matches_explicit():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     f_seed = encode_container(sq, mask, mask_mode=MASK_SEED)
     f_expl = encode_container(sq, mask, mask_mode=MASK_EXPLICIT)
     sq_s, mask_s, _ = decode_container(f_seed)
@@ -62,7 +61,7 @@ def test_seed_mode_matches_explicit():
 
 @pytest.mark.parametrize("wrap", [bytes, bytearray])
 def test_store_payload_is_a_view_of_the_frame(wrap):
-    img, _, mask, sq = build(h=40, w=72, c=3, t=3)
+    img, mask, sq = build(h=40, w=72, c=3, t=3)
     frame = wrap(encode_container(sq, mask))
     sq2, _, _ = decode_container(frame)
     assert np.shares_memory(sq2.pixels, np.frombuffer(frame, np.uint8))
@@ -70,7 +69,8 @@ def test_store_payload_is_a_view_of_the_frame(wrap):
     assert np.array_equal(sq2.pixels, sq.pixels)
     # decoding the view gives the raster a private copy of the payload gives
     copied = replace(sq2, pixels=sq2.pixels.copy())
-    assert decompress_bytes(frame) == store_raster(unsqueeze(copied, mask))
+    restored = unsqueeze(copied, mask).pixels[:40, :72]
+    assert decompress_bytes(frame) == store_raster(Image(restored))
 
 
 def test_compress_peak_memory_near_container_size():
@@ -90,8 +90,25 @@ def test_compress_peak_memory_near_container_size():
     assert peak <= 2.1 * len(frame), f"peak {peak} B for a {len(frame)} B container"
 
 
+def test_decompress_peak_memory_near_raster_size():
+    # one model-free default decode holds the unsqueezed raster and the
+    # joined output: the payload is a view, and no patch array is built
+    rng = np.random.default_rng(5)
+    raster = store_raster(make_image(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)))
+    frame = compress_bytes(raster, PipelineConfig(seed=6))
+    out = decompress_bytes(frame)
+    tracemalloc.start()
+    try:
+        again = decompress_bytes(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == out and len(out) == len(raster)
+    assert peak <= 2.1 * len(out), f"peak {peak} B for a {len(out)} B raster"
+
+
 def test_seed_mode_needs_provenance():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     bare = type(mask)(mask.bits, None)
     with pytest.raises(ParameterError):
         encode_container(sq, bare, mask_mode=MASK_SEED)
@@ -99,7 +116,7 @@ def test_seed_mode_needs_provenance():
 
 def test_payload_len_store_256():
     # 256x256 RGB, n=32, b=4, T=2: squeezed to 256x192, 147456 payload bytes
-    _, _, mask, sq = build(h=256, w=256)
+    _, mask, sq = build(h=256, w=256)
     frame = encode_container(sq, mask)
     assert sq.pixels.nbytes == 147456
     sq2, _, _ = decode_container(frame)
@@ -108,14 +125,14 @@ def test_payload_len_store_256():
 
 def test_mask_bytes_length():
     # n=32, b=4 -> 8x8 sub-grid, 64 bits, 8 explicit mask bytes
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     f_expl = encode_container(sq, mask, mask_mode=MASK_EXPLICIT)
     f_seed = encode_container(sq, mask, mask_mode=MASK_SEED)
     assert len(f_expl) - len(f_seed) == 8
 
 
 def test_bad_magic():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     frame = bytearray(encode_container(sq, mask))
     frame[0] = 0x58
     with pytest.raises(FormatError, match="magic"):
@@ -123,7 +140,7 @@ def test_bad_magic():
 
 
 def test_bad_version():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     frame = bytearray(encode_container(sq, mask))
     frame[4] = 99
     with pytest.raises(FormatError, match="version"):
@@ -131,7 +148,7 @@ def test_bad_version():
 
 
 def test_bad_image_geometry():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     frame = encode_container(sq, mask)
     # n = 0 makes the sub-grid 0x0, so no mask bytes follow the header
     header = frame[:14] + b"\x00\x00" + frame[16:32]
@@ -145,7 +162,7 @@ def test_bad_image_geometry():
 
 
 def test_truncated_payload():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     frame = encode_container(sq, mask)
     with pytest.raises(FormatError, match="length mismatch"):
         decode_container(frame[:-5])
@@ -216,8 +233,8 @@ def test_largest_admitted_image_decodes():
     # MAX_PIXELS is the padded size: a 1-row image padded to n rows counts n.
     n = 32
     side = MAX_PIXELS // n
-    img, grid, mask, sq = build(h=1, w=side, c=1, n=n, b=4, t=2)
-    assert grid.padded_height * grid.padded_width == MAX_PIXELS
+    img, mask, sq = build(h=1, w=side, c=1, n=n, b=4, t=2)
+    assert np.prod(padded_size(1, side, n)) == MAX_PIXELS
     frame = encode_container(sq, mask)
     sq2, _, _ = decode_container(frame)
     assert np.array_equal(sq2.pixels, sq.pixels)
@@ -263,7 +280,7 @@ def test_geometry_roundtrip(data):
 
 
 def test_trailing_garbage():
-    _, _, mask, sq = build()
+    _, mask, sq = build()
     with pytest.raises(FormatError):
         decode_container(encode_container(sq, mask) + b"\x00")
 
@@ -274,17 +291,17 @@ def test_size_monotone_in_t():
         if t == 0:
             from easz.mask import all_kept_mask
             mask = all_kept_mask(8, 8)
-            img, _, _, _ = build(t=1)
+            img, _, _ = build(t=1)
             sq = squeeze(img, mask, 32, 4)
         else:
-            _, _, mask, sq = build(t=t)
+            _, mask, sq = build(t=t)
         sizes.append(len(encode_container(sq, mask)))
     assert sizes == sorted(sizes, reverse=True)
     assert len(set(sizes)) == len(sizes)
 
 
 def test_external_codec_identity():
-    _, _, mask, sq = build(c=1)
+    _, mask, sq = build(c=1)
     codec = ExternalCodec(encode_cmd="cat", decode_cmd="cat")
     frame = encode_container(sq, mask, codec=codec)
     sq2, mask2, codec_id = decode_container(frame, codec=codec)
@@ -294,7 +311,7 @@ def test_external_codec_identity():
 
 
 def test_external_codec_missing_on_decode():
-    _, _, mask, sq = build(c=1)
+    _, mask, sq = build(c=1)
     codec = ExternalCodec(encode_cmd="cat", decode_cmd="cat")
     frame = encode_container(sq, mask, codec=codec)
     with pytest.raises(ParameterError, match="external codec"):
@@ -304,7 +321,7 @@ def test_external_codec_missing_on_decode():
 
 
 def test_external_codec_failure_surfaces_stderr():
-    _, _, mask, sq = build(c=1)
+    _, mask, sq = build(c=1)
     codec = ExternalCodec(encode_cmd="sh -c 'echo boom >&2; exit 3'",
                           decode_cmd="cat")
     with pytest.raises(EaszError, match="boom"):

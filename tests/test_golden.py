@@ -1,13 +1,14 @@
 """Frozen digests of the byte-exact outputs, and a reference for the model path.
 
 Seed-mode containers already on disk depend on the mask sampler drawing the
-same bits, and store-codec containers on squeeze laying out the same pixels,
-so these SHA-256 digests must never change.  Float model output is not
-frozen (it can differ across BLAS builds).  The model trains and reconstructs
-in float32, so reconstruct_grid is instead compared, byte for byte, with a
-per-patch forward through the training-time graph; and at the production
-config with the same forward on weights and tokens widened to float64,
-within one byte at erased pixels.
+same bits, store-codec containers on squeeze laying out the same pixels, and
+model-free decodes on unsqueeze putting them back, so these SHA-256 digests
+must never change.  Float model output is not frozen (it can differ across
+BLAS builds).  The model trains and reconstructs in float32, so
+decode_and_reconstruct is instead compared, byte for byte, with a per-patch
+forward through the training-time graph; and at the production config with
+the same forward on weights and tokens widened to float64, within one byte
+at erased pixels.
 """
 
 import hashlib
@@ -17,13 +18,13 @@ import pytest
 
 from easz.autodiff import Tensor
 from easz.container import MASK_EXPLICIT, MASK_SEED, encode_container
-from easz.image import make_image, patchify
+from easz.image import make_image
 from easz.mask import SamplerParams, generate_row_mask, pack_mask
 from easz.model import (ModelConfig, decode_and_reconstruct, default_config,
                         forward_tokens, init_params, load_checkpoint,
-                        patch_to_tokens, reconstruct_grid, sample_training_mask,
-                        save_checkpoint, tokens_to_patch)
-from easz.pipeline import PipelineConfig
+                        patch_to_tokens, sample_training_mask, save_checkpoint,
+                        tokens_to_patch)
+from easz.pipeline import PipelineConfig, decompress_bytes
 from easz.squeeze import squeeze
 
 
@@ -51,16 +52,19 @@ TRAINING_MASKS = {  # grid side -> digests for seeds 0 and 1
          "e491c34499d3c8741a0f83a79963a7cc4862b7fb8f35da71c95d20e6807d3686"],
 }
 
-# image seed -> (shape, squeezed pixels, explicit container, seed-mode container)
+# image seed -> (shape, squeezed pixels, explicit container, seed-mode
+# container, model-free decode of either container)
 SQUEEZED = {
     0: ((70, 100, 3),
         "5807390bd6c4bba056553ee46c900d0736363748919c82a490e8c213a2f11b39",
         "4e5baec8736077757896bc27f393bd59400b00d98481a001ad4a2c103a744717",
-        "bb2b60d27f266c6803cc8161ecf4a476f690044516793bc6f5eaa545001a2ad6"),
+        "bb2b60d27f266c6803cc8161ecf4a476f690044516793bc6f5eaa545001a2ad6",
+        "39780e9225b55de0b752dab675554c285f67ea8408285b1ce5e1d1ee0c7924e4"),
     1: ((64, 64, 1),
         "7c65370628f19137b44ae3cba119127d83b09a5a6d2c5746bb1640de29ff11e1",
         "389754afbc9f5be084a8aa4dca72415ef37cc1586ba64c85b9e6f3fd0bff5896",
-        "f62600c0a00c7ee8d97f4dd313c429b21a91533bd298b754843d33a242a51927"),
+        "f62600c0a00c7ee8d97f4dd313c429b21a91533bd298b754843d33a242a51927",
+        "42cca2eb16dcf9daa33c4e50ca55f39ccbb0e654080abbfa7e8953e80655ec09"),
 }
 
 
@@ -77,34 +81,51 @@ def test_training_masks_frozen(grid_side):
     assert got == TRAINING_MASKS[grid_side]
 
 
-@pytest.mark.parametrize("seed", sorted(SQUEEZED))
-def test_squeeze_and_containers_frozen(seed):
-    shape, pixels, explicit, seeded = SQUEEZED[seed]
+def squeezed_fixture(seed):
+    shape = SQUEEZED[seed][0]
     rng = np.random.default_rng(seed)
     img = make_image(rng.integers(0, 256, shape, dtype=np.uint8))
     cfg = PipelineConfig(seed=seed)
     mask = cfg.make_mask()
-    sq = squeeze(img, mask, cfg.n, cfg.b)
+    return mask, squeeze(img, mask, cfg.n, cfg.b)
+
+
+@pytest.mark.parametrize("seed", sorted(SQUEEZED))
+def test_squeeze_and_containers_frozen(seed):
+    _, pixels, explicit, seeded, _ = SQUEEZED[seed]
+    mask, sq = squeezed_fixture(seed)
     assert sha(sq.pixels.tobytes()) == pixels
     assert sha(encode_container(sq, mask, mask_mode=MASK_EXPLICIT)) == explicit
     assert sha(encode_container(sq, mask, mask_mode=MASK_SEED)) == seeded
 
 
-def test_reconstruct_grid_matches_reference():
+@pytest.mark.parametrize("seed", sorted(SQUEEZED))
+def test_model_free_decode_frozen(seed):
+    decoded = SQUEEZED[seed][4]
+    mask, sq = squeezed_fixture(seed)
+    for mode in (MASK_EXPLICIT, MASK_SEED):
+        assert sha(decompress_bytes(encode_container(sq, mask, mask_mode=mode))) == decoded
+
+
+def test_decode_and_reconstruct_matches_reference():
     cfg = ModelConfig(subpatch_b=2, channels=3, d_model=16, grid_side=4,
                       heads=2, ffn_multiplier=2)
     # the reference runs on the same loaded parameters, recording a graph
     params, _ = load_checkpoint(save_checkpoint(init_params(cfg, seed=1), cfg))
     rng = np.random.default_rng(2)
-    grid = patchify(make_image(rng.integers(0, 256, (14, 24, 3), dtype=np.uint8)), 8, 2)
+    # 2 x 3 patches, edge-padded as the encoder pads: one slice across both rows
+    pixels = np.pad(rng.integers(0, 256, (14, 24, 3), dtype=np.uint8),
+                    ((0, 2), (0, 0), (0, 0)), mode="edge")
     mask = generate_row_mask(SamplerParams(4, 4, 2, 0, 1, seed=5))
-    out = reconstruct_grid(grid, mask, params, cfg)
+    out = decode_and_reconstruct(pixels, mask, params, cfg)
     erased = np.kron(1 - mask.bits, np.ones((2, 2), dtype=np.uint8)).astype(bool)
-    for patch, got in zip(grid.patches, out.patches):
-        pred = forward_tokens(Tensor(patch_to_tokens(patch, 2)), mask, params, cfg)
-        assert pred.requires_grad and pred.data.dtype == np.float32
-        want = np.where(erased[..., None], tokens_to_patch(pred.data, 2, 3), patch)
-        assert np.array_equal(got, want)
+    for y in (0, 8):
+        for x in (0, 8, 16):
+            patch = pixels[y:y + 8, x:x + 8]
+            pred = forward_tokens(Tensor(patch_to_tokens(patch, 2)), mask, params, cfg)
+            assert pred.requires_grad and pred.data.dtype == np.float32
+            want = np.where(erased[..., None], tokens_to_patch(pred.data, 2, 3), patch)
+            assert np.array_equal(out[y:y + 8, x:x + 8], want)
 
 
 def test_float32_reconstruction_within_a_byte_of_float64():
@@ -116,7 +137,11 @@ def test_float32_reconstruction_within_a_byte_of_float64():
     rng = np.random.default_rng(3)
     patches = rng.integers(0, 256, (16, gs * b, gs * b, c), dtype=np.uint8)
     mask = PipelineConfig(seed=3).make_mask()
-    out = decode_and_reconstruct(patches, mask, params, cfg)
+    # the 16 patches laid out as a 4 x 4 raster, and the output taken back apart
+    n = gs * b
+    raster = patches.reshape(4, 4, n, n, c).swapaxes(1, 2).reshape(4 * n, 4 * n, c)
+    out = decode_and_reconstruct(raster, mask, params, cfg)
+    out = out.reshape(4, n, 4, n, c).swapaxes(1, 2).reshape(16, n, n, c)
     params64 = {k: Tensor(v.data.astype(np.float64)) for k, v in params.items()}
     tokens64 = patch_to_tokens(patches, b).astype(np.float64)
     pred = forward_tokens(Tensor(tokens64), mask, params64, cfg)

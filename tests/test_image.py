@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from easz.errors import GeometryError, ParameterError, ParseError
-from easz.image import (Image, load_raster, make_image, patchify, store_raster,
-                        unpatchify)
+from easz.errors import ParameterError, ParseError
+from easz.image import (Image, check_geometry, load_raster, make_image, padded_pixels,
+                        padded_size, store_raster)
 
 
 def random_image(rng, h, w, c):
@@ -98,56 +98,49 @@ def test_load_raster_is_a_read_only_view(wrap):
         img.pixels[0, 0, 0] = 1
 
 
-def test_patchify_counts():
-    rng = np.random.default_rng(1)
-    grid = patchify(random_image(rng, 256, 256, 3), 32, 4)
-    assert grid.patch_rows * grid.patch_cols == 64
-    assert grid.subgrid_side == 8
-    assert grid.patches.shape == (64, 32, 32, 3)
-
-
-def test_patchify_pads_to_multiple():
+def test_padded_pixels_pads_to_multiple():
     rng = np.random.default_rng(2)
-    grid = patchify(random_image(rng, 250, 250, 1), 32, 4)
-    assert (grid.padded_height, grid.padded_width) == (256, 256)
-    assert grid.patch_rows * grid.patch_cols == 64
-    assert (grid.orig_height, grid.orig_width) == (250, 250)
+    img = random_image(rng, 250, 250, 1)
+    assert padded_size(250, 250, 32) == (256, 256)
+    assert padded_pixels(img, 32).shape == (256, 256, 1)
+    assert padded_size(250, 250, 1) == (250, 250)
 
 
-def test_patchify_divisibility_error():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ParameterError):
-        patchify(random_image(rng, 64, 64, 1), 32, 5)
+def test_check_geometry():
+    check_geometry(32, 4)
+    check_geometry(4, 4)
+    for n, b in ((32, 5), (4, 8), (32, 0)):
+        with pytest.raises(ParameterError):
+            check_geometry(n, b)
 
 
 def test_roundtrip_exact():
+    # whole patches already: no pad, no copy
     rng = np.random.default_rng(4)
     img = random_image(rng, 64, 64, 3)
-    out = unpatchify(patchify(img, 16, 4))
-    assert (out.pixels == img.pixels).all()
+    assert padded_pixels(img, 16) is img.pixels
 
 
 def test_roundtrip_padded_region():
     rng = np.random.default_rng(5)
     img = random_image(rng, 250, 250, 1)
-    out = unpatchify(patchify(img, 32, 4))
-    assert out.pixels.shape == (250, 250, 1)
-    assert (out.pixels == img.pixels).all()
-
-
-def test_unpatchify_missing_patch():
-    rng = np.random.default_rng(6)
-    grid = patchify(random_image(rng, 64, 64, 1), 32, 4)
-    from dataclasses import replace
-
-    broken = replace(grid, patches=grid.patches[:-1])
-    with pytest.raises(GeometryError):
-        unpatchify(broken)
+    out = padded_pixels(img, 32)[:250, :250]
+    assert out.shape == (250, 250, 1)
+    assert (out == img.pixels).all()
 
 
 def test_edge_replication_padding():
-    img = make_image(np.full((3, 3), 9, dtype=np.uint8))
-    grid = patchify(img, 4, 1)
+    img = make_image(np.arange(9, dtype=np.uint8).reshape(3, 3))
     # padded pixels copy the edge, not zero
-    full = grid.patches[0]
-    assert (full == 9).all()
+    full = padded_pixels(img, 4)[:, :, 0]
+    assert full.tolist() == [[0, 1, 2, 2], [3, 4, 5, 5], [6, 7, 8, 8], [6, 7, 8, 8]]
+
+
+def test_store_raster_of_a_view():
+    # a cropped, reversed or Fortran-order view serializes its own pixels
+    rng = np.random.default_rng(6)
+    base = rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)
+    for pixels in (base[:5, 2:9], base[::-1], np.asfortranarray(base)):
+        data = store_raster(Image(pixels))
+        assert data == b"P6\n%d %d\n255\n" % pixels.shape[1::-1] + pixels.tobytes()
+        assert np.array_equal(load_raster(data).pixels, pixels)

@@ -7,16 +7,19 @@ from easz import autodiff as ad
 from easz import model as easz_model
 from easz.autodiff import Tensor
 from easz.errors import DimensionError, EaszError, FormatError, ParameterError
-from easz.image import load_raster, make_image, patchify, store_raster
+from easz.container import decode_container
+from easz.image import load_raster, make_image, store_raster
 from easz.mask import (EraseMask, SamplerParams, all_kept_mask,
                        generate_row_mask)
 from easz.model import (ModelConfig, TrainSettings, assemble, decode,
                         decode_and_reconstruct, embed, encode, eval_loss,
                         forward_tokens, init_params, load_checkpoint, loss,
-                        param_count, patch_to_tokens, reconstruct_grid,
-                        save_checkpoint, tokens_to_patch, train)
+                        param_count, patch_to_tokens, save_checkpoint,
+                        tokens_to_patch, train)
 from easz.pipeline import PipelineConfig, compress_bytes, decompress_bytes
 from easz.prng import digest64
+from easz.squeeze import unsqueeze
+from gradcheck import grad_check, tsum
 
 TINY = ModelConfig(subpatch_b=2, channels=1, d_model=16, grid_side=4, heads=2,
                    ffn_multiplier=2)
@@ -146,10 +149,10 @@ def test_reconstruct_all_kept_is_identity(tiny_params, monkeypatch):
 
     monkeypatch.setattr(easz_model, "forward_tokens", fail)
     rng = np.random.default_rng(11)
-    for shape in ((8, 8, 1), (3, 8, 8, 1)):
-        patches = rng.integers(0, 256, shape, dtype=np.uint8)
-        out = decode_and_reconstruct(patches, all_kept_mask(4, 4), tiny_params, TINY)
-        assert np.array_equal(out, patches) and out is not patches
+    for shape in ((8, 8, 1), (16, 24, 1)):
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        out = decode_and_reconstruct(pixels, all_kept_mask(4, 4), tiny_params, TINY)
+        assert np.array_equal(out, pixels) and out is not pixels
 
 
 def test_erased_input_independence(tiny_params):
@@ -228,24 +231,52 @@ def test_inference_records_no_graph(tiny_params, monkeypatch):
     img = make_image(rng.integers(0, 256, (8, 24), dtype=np.uint8))
     mask = tiny_mask()
     decode_and_reconstruct(img.pixels[:, :8], mask, tiny_params, TINY)
-    reconstruct_grid(patchify(img, 8, 2), mask, tiny_params, TINY)
+    decode_and_reconstruct(img.pixels, mask, tiny_params, TINY)
     eval_loss(np.stack([img.pixels[:, :8]] * 2), TINY, tiny_params, mask)
-    slices = -(-3 // easz_model._SLICE)  # the grid has 3 patches
+    slices = -(-3 // easz_model._SLICE)  # the raster has 3 patches
     assert len(outputs) == 1 + slices + 1
     for out in outputs:
         assert not out.requires_grad and out._parents == ()
 
 
-def test_reconstruct_grid_slices_match_single_patches(tiny_params):
-    # _SLICE + 3 patches: one whole forward slice, then a partial one
+def windows_decoded_alone(pixels, mask, params, cfg):
+    """decode_and_reconstruct run on each n x n window of pixels by itself."""
+    n = cfg.subpatch_b * cfg.grid_side
+    want = np.empty_like(pixels)
+    for y in range(0, pixels.shape[0], n):
+        for x in range(0, pixels.shape[1], n):
+            window = pixels[y:y + n, x:x + n]
+            want[y:y + n, x:x + n] = decode_and_reconstruct(window, mask, params, cfg)
+    return want
+
+
+def test_decode_slices_span_patch_rows(tiny_params):
+    # 3 x 5 patches in raster order: the first slice of _SLICE runs across
+    # patch rows, then a partial slice ends the raster
+    assert easz_model._SLICE < 3 * 5 < 2 * easz_model._SLICE
     rng = np.random.default_rng(19)
-    width = 8 * (easz_model._SLICE + 3)
-    grid = patchify(make_image(rng.integers(0, 256, (8, width), dtype=np.uint8)), 8, 2)
-    assert len(grid.patches) == easz_model._SLICE + 3
+    pixels = rng.integers(0, 256, (3 * 8, 5 * 8, 1), dtype=np.uint8)
     mask = tiny_mask(t=2)
-    out = reconstruct_grid(grid, mask, tiny_params, TINY)
-    for patch, got in zip(grid.patches, out.patches):
-        assert np.array_equal(got, decode_and_reconstruct(patch, mask, tiny_params, TINY))
+    out = decode_and_reconstruct(pixels, mask, tiny_params, TINY)
+    assert np.array_equal(out, windows_decoded_alone(pixels, mask, tiny_params, TINY))
+    # and through the container at a padded size, which decodes 24 x 40
+    raster = store_raster(make_image(pixels[:21, :35]))
+    frame = compress_bytes(raster, PipelineConfig(n=8, b=2, erased_per_row=2,
+                                                  intra_row_delta=0, inter_row_delta=0))
+    sq, sent, _ = decode_container(frame)
+    padded = unsqueeze(sq, sent).pixels
+    assert padded.shape == pixels.shape
+    want = windows_decoded_alone(padded, sent, tiny_params, TINY)[:21, :35]
+    got = load_raster(decompress_bytes(frame, (tiny_params, TINY))).pixels
+    assert np.array_equal(got, want)
+
+
+def test_decode_rejects_partial_patches(tiny_params):
+    rng = np.random.default_rng(20)
+    for shape in ((8, 12, 1), (4, 8, 1), (8, 8, 3), (2, 8, 8, 1)):
+        with pytest.raises(DimensionError, match="whole 8x8x1 patches"):
+            decode_and_reconstruct(rng.integers(0, 256, shape, dtype=np.uint8),
+                                   tiny_mask(), tiny_params, TINY)
 
 
 def test_eval_loss_slices_match_whole_batch(tiny_params):
@@ -344,17 +375,17 @@ def test_decode_memory_does_not_grow_with_stack():
     params = init_params(cfg, seed=0)
     mask = generate_row_mask(SamplerParams(8, 8, 2, 1, 1, seed=1))
     rng = np.random.default_rng(26)
-    stack = rng.integers(0, 256, (64, 32, 32, 3), dtype=np.uint8)
+    stack = rng.integers(0, 256, (8 * 32, 8 * 32, 3), dtype=np.uint8)  # 8 x 8 patches
 
-    def peak(patches):
+    def peak(pixels):
         tracemalloc.start()
         try:
-            decode_and_reconstruct(patches, mask, params, cfg)
+            decode_and_reconstruct(pixels, mask, params, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small = peak(stack[:8])
+    small = peak(stack[:32])  # one patch row, one slice
     # only the uint8 output grows; the float32 tokens of the whole stack
     # alone would be 64 * 12 KiB
     assert peak(stack) <= small + stack.nbytes + 64 * 1024
@@ -458,10 +489,10 @@ def test_float64_params_train_and_check_gradients_in_float64():
         pred = forward_tokens(tokens, mask, trained, TINY)
         assert pred.data.dtype == np.float64
         d = ad.add(pred, ad.scale(target, -1.0))
-        return ad.tsum(ad.mul(d, d))
+        return tsum(ad.mul(d, d))
 
     for name in ("proj_in.w", "enc0.ln1.g", "dec1.ffn.b2", "proj_out.b"):
-        assert ad.grad_check(model_loss, trained[name], eps=1e-3, order=4) <= 1e-4, name
+        assert grad_check(model_loss, trained[name], eps=1e-3, order=4) <= 1e-4, name
 
 
 def test_checkpoint_truncated():

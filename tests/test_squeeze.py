@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from easz.errors import GeometryError, ParameterError
-from easz.image import PatchGrid, load_raster, make_image, padded_size, patchify, store_raster
+from easz.image import load_raster, make_image, padded_size, store_raster
 from easz.mask import EraseMask, SamplerParams, all_kept_mask, generate_row_mask
-from easz.squeeze import (SqueezedImage, _kept_columns, squeeze, squeezed_shape,
-                          unsqueeze, unsqueeze_grid)
+from easz.squeeze import SqueezedImage, _kept_columns, squeeze, squeezed_shape, unsqueeze
 
 
 def rand_img(rng, h, w, c=3):
@@ -68,7 +69,16 @@ def test_unsqueeze_wrong_mask_dims():
     rng = np.random.default_rng(5)
     sq = squeeze(rand_img(rng, 32, 32, 1), row_mask(8, 2), 32, 4)
     with pytest.raises(GeometryError):
-        unsqueeze_grid(sq, row_mask(4, 1))
+        unsqueeze(sq, row_mask(4, 1))
+
+
+def test_unsqueeze_wrong_squeezed_shape():
+    rng = np.random.default_rng(5)
+    mask = row_mask(8, 2)
+    sq = squeeze(rand_img(rng, 32, 64, 1), mask, 32, 4)
+    for pixels in (sq.pixels[:, :-4], sq.pixels[:-1]):
+        with pytest.raises(GeometryError, match="does not match"):
+            unsqueeze(replace(sq, pixels=pixels), mask)
 
 
 def test_size_accounting_exact():
@@ -83,34 +93,39 @@ def test_size_accounting_exact():
 
 
 # --- byte-exact references ---------------------------------------------------
-# The fancy-index squeeze and unsqueeze over 7-D pixel views that defined the
-# squeezed layout, copied unchanged apart from their names.
+# The fancy-index squeeze and unsqueeze over 7-D views of a patch array that
+# defined the squeezed layout.  The patch array is built here, from the
+# edge-padded raster, so the reference shares no layout code with the
+# library; the 7-D fancy indexing is the original code, unchanged.
 
-def reference_squeeze(grid: PatchGrid, mask: EraseMask) -> SqueezedImage:
-    n, b, c = grid.patch_size_n, grid.subpatch_size_b, grid.channels
-    gs, pr, pc = grid.subgrid_side, grid.patch_rows, grid.patch_cols
+def reference_patches(img, n: int) -> np.ndarray:
+    """(patch_rows, patch_cols, n, n, C): the edge-padded raster's patches."""
+    ph, pw = -(-img.height // n) * n, -(-img.width // n) * n
+    px = np.pad(img.pixels, ((0, ph - img.height), (0, pw - img.width), (0, 0)), mode="edge")
+    return px.reshape(ph // n, n, pw // n, n, img.channels).transpose(0, 2, 1, 3, 4)
+
+
+def reference_squeeze(img, mask: EraseMask, n: int, b: int) -> SqueezedImage:
+    patches = reference_patches(img, n)
+    pr, pc, c, gs = *patches.shape[:2], img.channels, n // b
     cols = _kept_columns(mask, gs)
     t = gs - cols.shape[1]
-    sub = grid.patches.reshape(pr, pc, gs, b, gs, b, c).transpose(0, 1, 2, 4, 3, 5, 6)
+    sub = patches.reshape(pr, pc, gs, b, gs, b, c).transpose(0, 1, 2, 4, 3, 5, 6)
     packed = sub[:, :, np.arange(gs)[:, None], cols]
     pixels = packed.transpose(0, 2, 4, 1, 3, 5, 6).reshape(*squeezed_shape(pr, pc, n, b, t), c)
-    return SqueezedImage(pixels, n, b, t, pr, pc, grid.orig_height, grid.orig_width)
+    return SqueezedImage(pixels, n, b, t, pr, pc, img.height, img.width)
 
 
-def reference_unsqueeze_grid(sq: SqueezedImage, mask: EraseMask) -> PatchGrid:
+def reference_unsqueeze(sq: SqueezedImage, mask: EraseMask) -> np.ndarray:
+    """The padded raster with the kept sub-patches back in place, zeros elsewhere."""
     n, b, c = sq.patch_size_n, sq.subpatch_size_b, sq.channels
     gs, pr, pc = n // b, sq.patch_rows, sq.patch_cols
     cols = _kept_columns(mask, gs)
     kept = cols.shape[1]
-    want = squeezed_shape(pr, pc, n, b, gs - kept)
-    if (sq.height, sq.width) != want:
-        raise GeometryError(f"squeezed raster {sq.height}x{sq.width} does not match "
-                            f"geometry {want[0]}x{want[1]}")
     packed = sq.pixels.reshape(pr, gs, b, pc, kept, b, c).transpose(0, 3, 1, 4, 2, 5, 6)
     sub = np.zeros((pr, pc, gs, gs, b, b, c), dtype=np.uint8)
     sub[:, :, np.arange(gs)[:, None], cols] = packed
-    patches = sub.transpose(0, 1, 2, 4, 3, 5, 6).reshape(pr * pc, n, n, c)
-    return PatchGrid(patches, n, b, pr, pc, sq.orig_height, sq.orig_width)
+    return sub.transpose(0, 2, 4, 1, 3, 5, 6).reshape(pr * n, pc * n, c)
 
 
 def _geometry(obj) -> dict:
@@ -118,15 +133,14 @@ def _geometry(obj) -> dict:
 
 
 def assert_matches_reference(img, mask: EraseMask, n: int, b: int):
-    sq, want = squeeze(img, mask, n, b), reference_squeeze(patchify(img, n, b), mask)
+    sq, want = squeeze(img, mask, n, b), reference_squeeze(img, mask, n, b)
     assert sq.pixels.dtype == np.uint8 and sq.pixels.shape == want.pixels.shape
     assert sq.pixels.tobytes() == want.pixels.tobytes()
     assert _geometry(sq) == _geometry(want)
     assert not np.shares_memory(sq.pixels, img.pixels)
-    back, ref = unsqueeze_grid(sq, mask), reference_unsqueeze_grid(sq, mask)
-    assert back.patches.dtype == np.uint8 and back.patches.shape == ref.patches.shape
-    assert back.patches.tobytes() == ref.patches.tobytes()
-    assert _geometry(back) == _geometry(ref)
+    back, ref = unsqueeze(sq, mask).pixels, reference_unsqueeze(sq, mask)
+    assert back.dtype == np.uint8 and back.shape == ref.shape
+    assert back.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("c", [1, 3])
@@ -157,8 +171,7 @@ def test_matches_reference_non_contiguous_input():
     view = SqueezedImage(strided[..., ::2], 16, 4, 2, sq.patch_rows,
                          sq.patch_cols, 48, 80)
     assert not view.pixels.flags.c_contiguous
-    np.testing.assert_array_equal(unsqueeze_grid(view, mask).patches,
-                                  reference_unsqueeze_grid(sq, mask).patches)
+    np.testing.assert_array_equal(unsqueeze(view, mask).pixels, reference_unsqueeze(sq, mask))
 
 
 def test_squeeze_rejects_bad_geometry():
